@@ -108,9 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serving dtype models are cast to on load "
                             "(default float32; 'native' preserves the "
                             "artifact's dtype)")
-    serve.add_argument("--window-ms", type=float, default=5.0,
-                       help="micro-batching window in milliseconds "
-                            "(default 5)")
+    serve.add_argument("--window-ms", type=float, default=0.0,
+                       help="micro-batching window in milliseconds; 0 "
+                            "dispatches as soon as the worker is free and "
+                            "requests arriving meanwhile share the next "
+                            "batch (default %(default)s)")
     serve.add_argument("--max-batch-requests", type=int, default=256)
     serve.add_argument("--max-batch-rows", type=int, default=8192)
     serve.add_argument("--rate-limit", type=float, default=None,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .._validation import check_array, check_positive_int, check_random_state
 from ._distances import assign_to_nearest
@@ -43,6 +42,10 @@ def anderson_darling_rejects_gaussian(
     std = values.std(ddof=1)
     if std == 0:
         return False
+    # Deferred: scipy.special costs ~0.3 s to import, which every
+    # ``import repro`` (and so every serving process) would otherwise pay.
+    from scipy.special import ndtr
+
     z = np.sort((values - values.mean()) / std)
     cdf = np.clip(ndtr(z), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)

@@ -287,25 +287,29 @@ class KMeans:
             # row pool is shared across restart workers (submit is
             # thread-safe; block workers never re-enter the pool).
             def run_one(gen, seed_index):
-                centers, labels, run_inertia, iterations, run_interrupted = (
-                    self._single_run(
-                        X, gen, weights, weighted_X, x_squared_norms,
-                        restart_index=seed_index,
-                        parallel=parallel,
-                    )
+                (centers, labels, run_inertia, iterations, run_converged,
+                 run_interrupted) = self._single_run(
+                    X, gen, weights, weighted_X, x_squared_norms,
+                    restart_index=seed_index,
+                    parallel=parallel,
                 )
                 if run_interrupted:
                     # A callback-raised interrupt inside a worker: surface
                     # it so the sweep reports interrupted (the executor
                     # keeps every restart that already completed).
                     raise KeyboardInterrupt
-                return run_inertia, (centers, labels, iterations)
+                return run_inertia, (centers, labels, iterations, run_converged)
 
             report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
             if report.interrupted and not report.outcomes:
                 raise KeyboardInterrupt
+            # Warn here, on the calling thread, not on the executor thread
+            # that ran the restart.
+            for outcome in report.outcomes:
+                if not outcome.payload[-1]:
+                    self._warn_not_converged()
             best = report.best()
-            self.cluster_centers_, self.labels_, self.n_iter_ = best.payload
+            self.cluster_centers_, self.labels_, self.n_iter_, _ = best.payload
             self.inertia_ = best.inertia
             self.converged_ = not report.interrupted
             return self
@@ -338,15 +342,14 @@ class KMeans:
                 else (best_centers, best_labels, best_inertia, best_iterations)
             )
             try:
-                centers, labels, run_inertia, iterations, run_interrupted = (
-                    self._single_run(
-                        X, rng, weights, weighted_X, x_squared_norms,
-                        restart_index=restart,
-                        resume=resume_state,
-                        fingerprint=fingerprint,
-                        best_state=best_state,
-                        parallel=parallel,
-                    )
+                (centers, labels, run_inertia, iterations, run_converged,
+                 run_interrupted) = self._single_run(
+                    X, rng, weights, weighted_X, x_squared_norms,
+                    restart_index=restart,
+                    resume=resume_state,
+                    fingerprint=fingerprint,
+                    best_state=best_state,
+                    parallel=parallel,
                 )
             except KeyboardInterrupt:
                 # Interrupted before this restart completed one iteration:
@@ -356,6 +359,8 @@ class KMeans:
                 interrupted = True
                 break
             resume_state = None
+            if not run_converged:
+                self._warn_not_converged()
             if run_inertia < best_inertia:
                 best_inertia = run_inertia
                 best_centers = centers
@@ -413,6 +418,15 @@ class KMeans:
         return int(self.cluster_centers_.size)
 
     # ------------------------------------------------------------ internals
+    def _warn_not_converged(self) -> None:
+        # Called from _fit only: stacklevel 4 skips this method, _fit and
+        # fit, so the warning names the line that called fit().
+        warnings.warn(
+            f"KMeans did not converge in {self.max_iter} iterations",
+            ConvergenceWarning,
+            stacklevel=4,
+        )
+
     def _check_fitted(self) -> None:
         if self.cluster_centers_ is None:
             raise NotFittedError("this KMeans instance is not fitted yet; call fit first")
@@ -599,6 +613,7 @@ class KMeans:
         else:
             centers, labels, bounds, start = resume
         interrupted = False
+        converged = False
         # `completed` and `centers` advance together at the end of each
         # iteration, so the KeyboardInterrupt handler always sees a
         # consistent last-completed state even mid-iteration.
@@ -652,6 +667,7 @@ class KMeans:
                 if self.callback is not None:
                     self.callback(restart_index, iterations)
                 if shift < self.tol:
+                    converged = True
                     break
                 # Snapshot only on continuing iterations: a resumed run
                 # always has at least the terminal iteration left to do.
@@ -659,16 +675,14 @@ class KMeans:
                     restart_index, iterations, centers, labels, bounds,
                     rng, fingerprint, best_state,
                 )
-            else:  # pragma: no cover - depends on data
-                warnings.warn(
-                    f"KMeans did not converge in {self.max_iter} iterations",
-                    ConvergenceWarning,
-                    stacklevel=2,
-                )
         except KeyboardInterrupt:
             interrupted = True
         labels, min_distances = assign_to_nearest(
             X, centers, x_squared_norms=x_squared_norms, parallel=parallel
         )
         inertia = float((min_distances * weights).sum(dtype=np.float64))
-        return centers, labels, inertia, completed, interrupted
+        # An interrupted run is reported as interrupted, not as unconverged.
+        return (
+            centers, labels, inertia, completed, converged or interrupted,
+            interrupted,
+        )

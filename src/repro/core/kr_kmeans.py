@@ -451,7 +451,7 @@ class KhatriRaoKMeans:
             # thread-safe; block workers never re-enter the pool).
             def run_one(gen, seed_index):
                 (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_interrupted) = self._single_run(
+                 run_converged, run_interrupted) = self._single_run(
                     X, gen, materialize, weights, x_squared_norms,
                     restart_index=seed_index,
                     parallel=parallel,
@@ -461,14 +461,21 @@ class KhatriRaoKMeans:
                     # it so the sweep reports interrupted (the executor
                     # keeps every restart that already completed).
                     raise KeyboardInterrupt
-                return run_inertia, (thetas, labels, set_labels, iters, fractions)
+                return run_inertia, (
+                    thetas, labels, set_labels, iters, fractions, run_converged,
+                )
 
             report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
             if report.interrupted and not report.outcomes:
                 raise KeyboardInterrupt
+            # Warn here, on the calling thread, not on the executor thread
+            # that ran the restart.
+            for outcome in report.outcomes:
+                if not outcome.payload[-1]:
+                    self._warn_not_converged()
             winner = report.best()
             (self.protocentroids_, self.labels_, self.set_labels_,
-             self.n_iter_, self.reassignment_fractions_) = winner.payload
+             self.n_iter_, self.reassignment_fractions_, _) = winner.payload
             self.inertia_ = winner.inertia
             self.converged_ = not report.interrupted
             return self
@@ -494,7 +501,7 @@ class KhatriRaoKMeans:
             best_state = None if best[1] is None else best
             try:
                 (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_interrupted) = self._single_run(
+                 run_converged, run_interrupted) = self._single_run(
                     X, rng, materialize, weights, x_squared_norms,
                     restart_index=restart,
                     resume=resume_state,
@@ -510,6 +517,8 @@ class KhatriRaoKMeans:
                 interrupted = True
                 break
             resume_state = None
+            if not run_converged:
+                self._warn_not_converged()
             if run_inertia < best[0]:
                 best = (run_inertia, thetas, labels, set_labels, iters, fractions)
             if run_interrupted:
@@ -565,6 +574,15 @@ class KhatriRaoKMeans:
         return np.stack(decoded, axis=1)
 
     # ------------------------------------------------------------ internals
+    def _warn_not_converged(self) -> None:
+        # Called from _fit only: stacklevel 4 skips this method, _fit and
+        # fit, so the warning names the line that called fit().
+        warnings.warn(
+            f"KhatriRaoKMeans did not converge in {self.max_iter} iterations",
+            ConvergenceWarning,
+            stacklevel=4,
+        )
+
     def _check_fitted(self) -> None:
         if self.protocentroids_ is None:
             raise NotFittedError(
@@ -975,6 +993,7 @@ class KhatriRaoKMeans:
             previous_thetas = [theta.copy() for theta in thetas]
             old_centroids = None
         interrupted = False
+        converged = False
         # `completed` advances only once an iteration's protocentroid
         # update has landed, so the KeyboardInterrupt handler always
         # reports a consistent last-completed count.
@@ -1004,6 +1023,7 @@ class KhatriRaoKMeans:
                 if self.callback is not None:
                     self.callback(restart_index, iterations)
                 if shift < self.tol:
+                    converged = True
                     break
                 if bounds is not None:
                     # Triangle-inequality inflation: the assigned centroid's
@@ -1023,13 +1043,6 @@ class KhatriRaoKMeans:
                     restart_index, iterations, thetas, labels, bounds,
                     fractions, rng, fingerprint, best_state,
                 )
-            else:  # pragma: no cover - depends on data
-                warnings.warn(
-                    f"KhatriRaoKMeans did not converge in "
-                    f"{self.max_iter} iterations",
-                    ConvergenceWarning,
-                    stacklevel=2,
-                )
         except KeyboardInterrupt:
             interrupted = True
         labels, min_distances = self._assign(
@@ -1041,9 +1054,10 @@ class KhatriRaoKMeans:
             min_distances.sum(dtype=np.float64) if weights is None
             else (min_distances * weights).sum(dtype=np.float64)
         )
+        # An interrupted run is reported as interrupted, not as unconverged.
         return (
             thetas, labels, set_labels, weighted_inertia, completed,
-            fractions, interrupted,
+            fractions, converged or interrupted, interrupted,
         )
 
     def _store_previous_thetas(

@@ -3,6 +3,9 @@
 All metrics are implemented from first principles on top of a shared
 contingency matrix; only the Hungarian assignment inside the unsupervised
 clustering accuracy delegates to :func:`scipy.optimize.linear_sum_assignment`.
+The two scipy imports happen at first use: importing ``scipy.special`` and
+``scipy.optimize`` takes ~0.4 s, which ``import repro`` (and every serving
+process) would otherwise pay for metrics it never computes.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import comb
 
 from ..exceptions import ValidationError
 
@@ -60,6 +61,8 @@ def adjusted_rand_index(labels_true, labels_pred) -> float:
     >>> adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0])
     1.0
     """
+    from scipy.special import comb  # deferred: see the module docstring
+
     table = contingency_matrix(labels_true, labels_pred)
     n = table.sum()
     sum_comb_cells = comb(table, 2).sum()
@@ -130,6 +133,8 @@ def unsupervised_clustering_accuracy(labels_true, labels_pred) -> float:
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
+    from scipy.optimize import linear_sum_assignment  # deferred
+
     row_ind, col_ind = linear_sum_assignment(-padded)
     return float(padded[row_ind, col_ind].sum() / n)
 

@@ -9,10 +9,12 @@ artifacts into a long-running service.  Four layers, one module each:
   the way in (via the dtype-preserving ``save``/``load`` + ``astype()``
   path from the dtype stack).
 * :mod:`~repro.serving.batcher` — :class:`MicroBatcher`: coalesces
-  concurrent ``assign``/``inertia``/``refine`` requests arriving within a
-  configurable window into a single factored kernel call and scatters the
-  results back per request.  This is where the batched-vs-singleton
-  throughput win is collected (``.benchmarks/serving_throughput.json``).
+  concurrent ``assign``/``inertia``/``refine`` requests into a single
+  factored kernel call and scatters the results back per request.  By
+  default it is work-conserving: whatever queued while the previous call
+  ran forms the next batch; an optional window holds batches open.
+  This is where the batched-vs-singleton throughput win is collected
+  (``.benchmarks/serving_throughput.json``).
 * :mod:`~repro.serving.http` — :class:`ServingServer` /
   :func:`create_server`: a stdlib-only threaded HTTP front end with JSON
   endpoints, request IDs, token-bucket rate limiting

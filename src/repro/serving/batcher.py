@@ -12,12 +12,17 @@ is where the batched-vs-singleton throughput win comes from
 
 * Requests (:meth:`MicroBatcher.submit`) enqueue into per-``(model, op)``
   queues and return a :class:`Ticket` the caller blocks on.
-* A single worker thread coalesces each queue: a batch closes
-  ``window_s`` seconds after its *first* request arrived, or as soon as
-  it holds ``max_batch_requests`` requests / ``max_batch_rows`` rows,
-  whichever comes first.  An oversize backlog is split across
-  consecutive kernel calls; a single request larger than
-  ``max_batch_rows`` runs alone (never rejected).
+* A single worker thread coalesces each queue.  By default
+  (``window_s=0``) it is work-conserving: it dispatches as soon as it is
+  free, taking everything queued up to the caps, so requests that
+  arrive while a batch executes share the next kernel call.  Batches
+  grow with load and an idle server adds no wait.  A positive
+  ``window_s`` instead holds each batch open until ``window_s`` seconds
+  after its *first* request arrived, or until it holds
+  ``max_batch_requests`` requests / ``max_batch_rows`` rows, whichever
+  comes first.  An oversize backlog is split across consecutive kernel
+  calls; a single request larger than ``max_batch_rows`` runs alone
+  (never rejected).
 * Each request is validated individually at coalesce time, so one
   malformed request fails with its own
   :class:`~repro.exceptions.ValidationError` while the rest of the batch
@@ -201,15 +206,22 @@ _Key = Tuple[str, str, Optional[int]]
 class MicroBatcher:
     """Coalesces concurrent requests per ``(model, op)`` into kernel calls.
 
+    The worker never idles while work is queued (unless a positive
+    ``window_s`` asks it to): each kernel call takes the whole backlog up
+    to the caps, so batch size follows the arrival rate.
+
     Parameters
     ----------
     registry : ModelRegistry
         Where model names resolve; the batcher executes against the
         registry's stored (serving-dtype) copies.
     window_s : float
-        Batching window, measured from the first request of a batch
-        (default 5 ms; the useful range is roughly 2–10 ms).  ``0``
-        dispatches every drain immediately with whatever is queued.
+        Batching window, measured from the first request of a batch.
+        The default ``0`` dispatches whatever is queued as soon as the
+        worker is free; arrivals during a kernel call coalesce into the
+        next one.  A positive window (a few ms) trades that much added
+        latency for larger batches, which pays only when many clients
+        submit concurrently and kernel calls dominate.
     max_batch_requests, max_batch_rows : int
         A batch closes early when either cap is reached; backlogs beyond
         the caps split into consecutive kernel calls.
@@ -239,7 +251,7 @@ class MicroBatcher:
         self,
         registry: ModelRegistry,
         *,
-        window_s: float = 0.005,
+        window_s: float = 0.0,
         max_batch_requests: int = 256,
         max_batch_rows: int = 8192,
         max_queue_requests: int = 1024,

@@ -1,10 +1,12 @@
 """Edge-case and failure-injection tests across the core estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import KhatriRaoKMeans, KMeans, NaiveKhatriRao
-from repro.exceptions import ValidationError
+from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.linalg import khatri_rao_combine
 
 
@@ -127,3 +129,37 @@ class TestConsistencyInvariants:
         once = model.predict(X)
         twice = model.predict(X)
         np.testing.assert_array_equal(once, twice)
+
+
+class TestConvergenceWarning:
+    """A restart that hits ``max_iter`` warns once, from ``fit`` on the
+    calling thread, pointing at the user's ``fit`` call — also when the
+    restarts ran on executor threads (``n_jobs``)."""
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    @pytest.mark.parametrize(
+        "estimator, shape", [(KMeans, 8), (KhatriRaoKMeans, (3, 3))]
+    )
+    def test_points_at_the_fit_call(self, estimator, shape, n_jobs):
+        X = np.random.default_rng(0).normal(size=(200, 4))
+        model = estimator(
+            shape, max_iter=1, n_init=3, random_state=0, n_jobs=n_jobs
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model.fit(X)
+        convergence = [
+            w for w in caught if issubclass(w.category, ConvergenceWarning)
+        ]
+        assert len(convergence) == 3  # one per restart
+        for w in convergence:
+            assert w.filename == __file__
+            assert str(w.message) == (
+                f"{estimator.__name__} did not converge in 1 iterations"
+            )
+
+    def test_converged_fit_is_silent(self):
+        X = np.random.default_rng(0).normal(size=(200, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            KhatriRaoKMeans((2, 2), n_init=2, random_state=0).fit(X)

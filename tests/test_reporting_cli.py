@@ -1,5 +1,10 @@
 """Tests for the reporting helpers and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,7 +109,7 @@ class TestCLIServe:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--model", "m=x.npz"])
         assert args.dtype == "float32"          # float32 is the hot path
-        assert args.window_ms == pytest.approx(5.0)
+        assert args.window_ms == 0.0            # work-conserving batcher
         assert args.port == 8080
         assert args.rate_limit is None
 
@@ -160,3 +165,17 @@ class TestCLIServe:
         ])
         with pytest.raises(SummaryFormatError):
             build_server_from_args(args)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported at first use: ``repro.cli`` (and so every
+    ``serve`` process) must not pay ~0.4 s to load it up front."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

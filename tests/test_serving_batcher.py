@@ -236,6 +236,41 @@ class TestThreadedWorker:
         finally:
             batcher.stop()
 
+    def test_default_window_coalesces_behind_a_running_batch(
+        self, data_and_summary, registry
+    ):
+        """The default is work-conserving (window 0), yet it still
+        batches: whatever queues while a kernel call runs shares the next
+        one."""
+        X, _ = data_and_summary
+        batcher = MicroBatcher(registry)
+        assert batcher.window_s == 0.0
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_first_batch(key, batch):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+
+        batcher.fault_hook = hold_first_batch
+        try:
+            first = batcher.submit("assign", "m", X[:5])
+            assert entered.wait(10.0)
+            chunks = [X[i * 5:(i + 1) * 5] for i in range(1, 9)]
+            tickets = [batcher.submit("assign", "m", c) for c in chunks]
+            release.set()
+            served = registry.get("m")
+            assert first.result(timeout=10.0)["labels"].shape == (5,)
+            for ticket, chunk in zip(tickets, chunks):
+                np.testing.assert_array_equal(
+                    ticket.result(timeout=10.0)["labels"],
+                    served.assign(chunk),
+                )
+            assert batcher.metrics.counter("batches_total") == 2
+            assert batcher.metrics.counter("batch_size_max") == 8
+        finally:
+            batcher.stop()
+
     def test_zero_window_still_serves(self, data_and_summary, registry):
         X, _ = data_and_summary
         batcher = MicroBatcher(registry, window_s=0.0)

@@ -6,6 +6,8 @@ client takes, including the JSON envelopes and headers.
 """
 
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -15,7 +17,11 @@ import pytest
 from repro import KhatriRaoKMeans, summarize
 from repro.datasets import make_blobs
 from repro.serving import ModelRegistry, create_server
-from repro.serving.http import STATUS_BY_EXCEPTION, EndpointNotFoundError
+from repro.serving.http import (
+    STATUS_BY_EXCEPTION,
+    EndpointNotFoundError,
+    _Handler,
+)
 from repro.exceptions import (
     BatcherStoppedError,
     ModelNotFoundError,
@@ -255,3 +261,113 @@ class TestLifecycle:
         server = create_server(registry, log_requests=False).start()
         server.stop()
         assert server.batcher.running is False
+
+
+class _RecordingHandler(_Handler):
+    """Records, per connection, the server-side socket's ``TCP_NODELAY``
+    and every write the handler makes to it."""
+
+    connections: list = []
+
+    def setup(self):
+        super().setup()
+        nodelay = self.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        )
+        writes = []
+        self.connections.append((nodelay, writes))
+        real_write = self.wfile.write
+
+        def write(data):
+            writes.append(bytes(data))
+            return real_write(data)
+
+        self.wfile.write = write
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    connections = []
+    monkeypatch.setattr(_RecordingHandler, "connections", connections)
+    return connections
+
+
+def _recording_server(data_and_summary, **kwargs):
+    _, summary = data_and_summary
+    registry = ModelRegistry()
+    registry.register("blobs", summary)
+    server = create_server(registry, log_requests=False, **kwargs)
+    server.RequestHandlerClass = _RecordingHandler
+    return server.start()
+
+
+class TestTransport:
+    """Nagle-free transport: ``TCP_NODELAY`` on the accepted socket and
+    one write per response, so a keep-alive connection never holds a
+    body segment back waiting for the client's delayed ACK."""
+
+    def test_accepted_socket_has_nodelay(self, data_and_summary, recording):
+        server = _recording_server(data_and_summary)
+        try:
+            get(server, "/healthz")
+        finally:
+            server.stop()
+        assert [nodelay for nodelay, _ in recording] == [1]
+
+    def _assert_single_writes(self, recording, statuses):
+        assert len(recording) == len(statuses)
+        for (_, writes), status in zip(recording, statuses):
+            assert len(writes) == 1, writes
+            head, _, body = writes[0].partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert f"Content-Length: {len(body)}".encode() in head
+            json.loads(body)
+
+    def test_success_and_error_responses_are_one_write(
+        self, data_and_summary, recording
+    ):
+        X, _ = data_and_summary
+        server = _recording_server(data_and_summary)
+        try:
+            get(server, "/healthz")
+            post(server, "/v1/models/blobs/assign", {"rows": X[:4].tolist()})
+            post_error(server, "/v1/models/ghost/assign", {"rows": [[0.0, 0.0]]})
+            post_error(server, "/v1/models/blobs/assign", {"rows": [[1.0]]})
+        finally:
+            server.stop()
+        self._assert_single_writes(recording, [200, 200, 404, 400])
+
+    def test_retry_after_responses_are_one_write(
+        self, data_and_summary, recording
+    ):
+        X, _ = data_and_summary
+        rows = {"rows": X[:4].tolist()}
+        server = _recording_server(
+            data_and_summary, rate_limit=1e-3, burst=1, breaker_failures=1
+        )
+        try:
+            server.batcher.breakers.record_failure(("blobs", "assign"))
+            status, headers, _ = post_error(
+                server, "/v1/models/blobs/assign", rows
+            )
+            assert status == 503 and float(headers["Retry-After"]) > 0
+            status, headers, _ = post_error(
+                server, "/v1/models/blobs/assign", rows
+            )
+            assert status == 429 and float(headers["Retry-After"]) > 0
+        finally:
+            server.stop()
+        self._assert_single_writes(recording, [503, 429])
+        for _, writes in recording:
+            assert b"Retry-After: " in writes[0]
+
+
+def test_default_window_is_zero(data_and_summary):
+    _, summary = data_and_summary
+    registry = ModelRegistry()
+    registry.register("blobs", summary)
+    server = create_server(registry, log_requests=False)
+    try:
+        assert server.batcher.window_s == 0.0
+    finally:
+        server.stop()
