@@ -1,17 +1,17 @@
 """Parallel restart throughput (`.benchmarks/parallel_restarts.json`).
 
-Certifies the ROADMAP's parallel ``n_init`` leg: the supervised executor
-must (a) select a bit-identical model at every worker count and (b)
-actually overlap restart work.  Two legs:
+Certifies the parallel ``n_init`` leg: the supervised executor must
+select a bit-identical model at every worker count, and hand back
+restart outcomes in seed order whatever order they finished in.  Those
+are the asserts.
 
-* **latency-bound** — each restart carries a fixed 60 ms stall
-  (``time.sleep`` releases the GIL, standing in for the I/O / straggler
-  latency the executor exists to hide).  Overlap here is deterministic
-  and independent of core count, so the ≥1.7× floor on 4 workers is
-  asserted even on a single-core CI box.
-* **BLAS-bound** — real ``KhatriRaoKMeans`` fits; recorded for the
-  report but *not* asserted, because the speedup tracks physical cores
-  (``cpu_count`` is stored alongside so readers can judge the number).
+Throughput is recorded, not asserted: real ``KhatriRaoKMeans`` sweeps
+of ``n_init`` restarts at several ``n_jobs``, each with the row-pool
+width, the number of row blocks, the OpenBLAS thread count and the core
+count.  The data is one row block, so the row pool runs inline and the
+restarts run under the process's own BLAS thread count.
+Wall-clock ratios depend on the machine and its load, so no floor on
+them is part of the test.
 """
 
 from __future__ import annotations
@@ -27,28 +27,20 @@ from conftest import print_header, print_rows, scaled
 from repro import KhatriRaoKMeans
 from repro.datasets import make_blobs
 from repro.runtime import ExecutorConfig, run_restarts
+from repro.runtime.parallel import blas_threads, row_blocks
 
 N_RESTARTS = 8
-STALL_S = 0.06
-SPEEDUP_FLOOR = 1.7
+#: ``n_jobs`` of the real-compute leg; ``None`` is the sequential sweep.
+JOBS = (None, 1, 2, 4)
 
 
-def _stalled_restart(gen: np.random.Generator, seed_index: int):
-    draws = gen.normal(size=16)
-    time.sleep(STALL_S)  # releases the GIL: overlappable latency
-    return float(np.sum(draws**2)), seed_index
-
-
-def _time_sweep(n_jobs: int):
-    start = time.perf_counter()
-    report = run_restarts(
-        _stalled_restart, N_RESTARTS, np.random.default_rng(0),
-        ExecutorConfig(n_jobs),
-    )
-    return time.perf_counter() - start, report
+def _compute_restart(gen: np.random.Generator, seed_index: int):
+    A = gen.normal(size=(256, 64))
+    return float(np.sum((A @ A.T) ** 2)), seed_index
 
 
 def _fit_kr(n_jobs, X):
+    """Time one sweep; returns ``(seconds, model)``."""
     start = time.perf_counter()
     model = KhatriRaoKMeans(
         (3, 3), n_init=N_RESTARTS, max_iter=50, random_state=0,
@@ -66,61 +58,65 @@ def test_parallel_restart_throughput():
     n = int(4000 * scaled(1.0))
     X, _ = make_blobs(max(n, 400), n_features=8, n_clusters=9,
                       cluster_std=0.6, random_state=1)
-    serial_fit_s, serial_model = _fit_kr(ExecutorConfig(1), X)
-    parallel_fit_s, parallel_model = _fit_kr(ExecutorConfig(4), X)
-    assert parallel_model.inertia_ == serial_model.inertia_
-    assert np.array_equal(parallel_model.labels_, serial_model.labels_)
-    for a, b in zip(parallel_model.protocentroids_,
-                    serial_model.protocentroids_):
-        assert np.array_equal(a, b)
+    legs = []
+    models = {}
+    for n_jobs in JOBS:
+        config = None if n_jobs is None else ExecutorConfig(n_jobs)
+        seconds, model = _fit_kr(config, X)
+        models[n_jobs] = model
+        legs.append({
+            "n_jobs": n_jobs,
+            "n_threads": model.n_threads.n_threads,
+            "row_blocks": len(row_blocks(X.shape[0])),
+            "blas_threads": blas_threads(),
+            "seconds": round(seconds, 4),
+        })
+    serial_model = models[1]
+    for parallel_model in (models[2], models[4]):
+        assert parallel_model.inertia_ == serial_model.inertia_
+        assert np.array_equal(parallel_model.labels_, serial_model.labels_)
+        for a, b in zip(parallel_model.protocentroids_,
+                        serial_model.protocentroids_):
+            assert np.array_equal(a, b)
 
-    # ---- latency-bound leg (asserted)
-    serial_s, serial_report = _time_sweep(1)
-    parallel_s, parallel_report = _time_sweep(4)
-    assert [o.inertia for o in parallel_report.outcomes] == \
-        [o.inertia for o in serial_report.outcomes]
-    latency_speedup = serial_s / parallel_s
+    # ---- seed order, not finish order, on real compute
+    reports = [
+        run_restarts(_compute_restart, N_RESTARTS, np.random.default_rng(0),
+                     ExecutorConfig(jobs))
+        for jobs in (1, 4)
+    ]
+    assert [o.inertia for o in reports[1].outcomes] == \
+        [o.inertia for o in reports[0].outcomes]
 
+    base = legs[1]["seconds"]
     rows = [
-        f"{'latency-bound (8 x 60ms stall)':<34}"
-        f"{serial_s:>10.3f}s{parallel_s:>10.3f}s{latency_speedup:>9.2f}x",
-        f"{'BLAS-bound (KR fit, n_init=8)':<34}"
-        f"{serial_fit_s:>10.3f}s{parallel_fit_s:>10.3f}s"
-        f"{serial_fit_s / parallel_fit_s:>9.2f}x",
+        f"{str(leg['n_jobs']):>8}{leg['n_threads']:>11}"
+        f"{str(leg['blas_threads']):>12}"
+        f"{leg['seconds']:>11.3f}s{base / leg['seconds']:>12.2f}x"
+        for leg in legs
     ]
     print_rows(
-        f"{'leg':<34}{'n_jobs=1':>11}{'n_jobs=4':>11}{'speedup':>10}", rows
+        f"{'n_jobs':>8}{'n_threads':>11}{'BLAS thr.':>12}{'fit':>12}"
+        f"{'vs n_jobs=1':>12}",
+        rows,
     )
-    print(f"cpu_count={os.cpu_count()}  "
-          f"(BLAS leg tracks physical cores; latency leg does not)")
+    print(f"n={X.shape[0]} ({len(row_blocks(X.shape[0]))} row block), "
+          f"cores={len(os.sched_getaffinity(0))}")
 
     record = {
         "n_restarts": N_RESTARTS,
-        "workers": 4,
-        "cpu_count": os.cpu_count(),
-        "latency_bound": {
-            "stall_s": STALL_S,
-            "serial_s": round(serial_s, 4),
-            "parallel_s": round(parallel_s, 4),
-            "speedup": round(latency_speedup, 3),
-            "asserted_floor": SPEEDUP_FLOOR,
-        },
-        "blas_bound": {
+        "cores": len(os.sched_getaffinity(0)),
+        "bit_identical_selection": True,
+        "real_compute": {
             "n_samples": int(X.shape[0]),
-            "serial_s": round(serial_fit_s, 4),
-            "parallel_s": round(parallel_fit_s, 4),
-            "speedup": round(serial_fit_s / parallel_fit_s, 3),
+            "n_features": int(X.shape[1]),
+            "cardinalities": [3, 3],
+            "legs": legs,
             "asserted": False,
         },
-        "bit_identical_selection": True,
     }
     out_dir = Path(__file__).resolve().parents[1] / ".benchmarks"
     out_dir.mkdir(exist_ok=True)
     (out_dir / "parallel_restarts.json").write_text(
         json.dumps(record, indent=2) + "\n"
-    )
-
-    assert latency_speedup >= SPEEDUP_FLOOR, (
-        f"4-worker restart sweep only {latency_speedup:.2f}x faster than "
-        f"serial on the latency-bound leg (floor {SPEEDUP_FLOOR}x)"
     )

@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "model selection is identical to sequential")
     fit.add_argument("--n-threads", type=int, default=None,
                      help="row-parallel kernel threads for the saved "
-                          "model's fit (default: single sweep, or the "
-                          "REPRO_N_THREADS environment variable); any "
-                          "thread count is bit-identical")
+                          "model's fit (default: one per available core); "
+                          "any thread count is bit-identical")
     fit.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="write an atomic training checkpoint per "
                           "iteration under DIR while fitting the saved "

@@ -50,6 +50,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..runtime.parallel import map_row_blocks
+
 __all__ = [
     "squared_distances",
     "assign_to_nearest",
@@ -67,21 +69,16 @@ def _working_dtype(X: np.ndarray) -> np.dtype:
 def row_norms_squared(X: np.ndarray, *, parallel=None) -> np.ndarray:
     """Squared Euclidean norm of every row of ``X`` (shape ``(n,)``).
 
-    ``parallel`` optionally supplies a
-    :class:`~repro.runtime.parallel.RowBlockPool`; the per-row reduction
-    is independent across rows, so the blocked result is bit-identical
-    to the single sweep *and* streams a memory-mapped ``X`` one block at
-    a time.
+    Runs over the fixed row blocks of ``parallel`` (a
+    :class:`~repro.runtime.parallel.RowBlockPool`, or the calling thread
+    without one); the per-row reduction is independent across rows, so
+    a memory-mapped ``X`` streams one block at a time.
     """
-    if parallel is None or X.shape[0] == 0:
-        return np.einsum("ij,ij->i", X, X)
-    parts = parallel.map(
-        lambda start, stop: np.einsum(
-            "ij,ij->i", X[start:stop], X[start:stop]
-        ),
+    return np.concatenate(map_row_blocks(
+        parallel,
+        lambda start, stop: np.einsum("ij,ij->i", X[start:stop], X[start:stop]),
         X.shape[0],
-    )
-    return np.concatenate(parts)
+    ))
 
 
 def paired_squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -190,6 +187,8 @@ def merge_row_block_assignments(parts, return_second: bool) -> Tuple[np.ndarray,
     merge — no fold order to worry about.  Shared by every row-blocked
     assignment path (materialized and factored).
     """
+    if len(parts) == 1:
+        return parts[0]
     labels = np.concatenate([p[0] for p in parts])
     best = np.concatenate([p[1] for p in parts])
     if return_second:
@@ -224,10 +223,10 @@ def assign_to_nearest(
         (``inf`` when ``k == 1``) — the seed of Hamerly-style pruning bounds.
     parallel : RowBlockPool, optional
         Row-parallel execution: each fixed row block is assigned by a pool
-        worker via this same function and the per-row outputs concatenated
-        in block order.  Rows are scored independently, so the result is
-        bit-identical at every pool width; a memory-mapped ``X`` is only
-        ever touched one block at a time.
+        worker and the per-row outputs concatenated in block order (without
+        a pool the blocks run on the calling thread).  Rows are scored
+        independently, so the result is bit-identical at every pool width;
+        a memory-mapped ``X`` is only ever touched one block at a time.
 
     Returns
     -------
@@ -236,39 +235,31 @@ def assign_to_nearest(
         Squared distance of each point to its assigned centroid.
     second_distances : float array of shape (n,), only if ``return_second``
     """
-    n = X.shape[0]
     k = C.shape[0]
-    if parallel is not None and n > 0:
-        if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        def _block(start, stop):
-            return assign_to_nearest(
-                X[start:stop], C, chunk_size=chunk_size,
-                x_squared_norms=x_squared_norms[start:stop],
-                return_second=return_second,
-            )
-
-        return merge_row_block_assignments(
-            parallel.map(_block, n), return_second
-        )
     if x_squared_norms is None:
-        x_squared_norms = row_norms_squared(X)
-    if chunk_size <= 0 or chunk_size >= k:
-        distances = squared_distances(X, C, x_squared_norms=x_squared_norms)
-        labels = np.argmin(distances, axis=1)
-        best = _row_min(distances, labels)
-        if return_second:
-            return labels, best, _row_second_min(distances, labels)
-        return labels, best
+        x_squared_norms = row_norms_squared(X, parallel=parallel)
+    dtype = np.promote_types(_working_dtype(X), _working_dtype(C))
 
-    return _chunked_argmin(
-        n,
-        k,
-        chunk_size,
-        lambda start, stop: squared_distances(
-            X, C[start:stop], x_squared_norms=x_squared_norms
-        ),
-        return_second=return_second,
-        dtype=np.promote_types(_working_dtype(X), _working_dtype(C)),
+    def _block(start, stop):
+        Xb, norms = X[start:stop], x_squared_norms[start:stop]
+        if chunk_size <= 0 or chunk_size >= k:
+            distances = squared_distances(Xb, C, x_squared_norms=norms)
+            labels = np.argmin(distances, axis=1)
+            best = _row_min(distances, labels)
+            if return_second:
+                return labels, best, _row_second_min(distances, labels)
+            return labels, best
+        return _chunked_argmin(
+            stop - start,
+            k,
+            chunk_size,
+            lambda lo, hi: squared_distances(
+                Xb, C[lo:hi], x_squared_norms=norms
+            ),
+            return_second=return_second,
+            dtype=dtype,
+        )
+
+    return merge_row_block_assignments(
+        map_row_blocks(parallel, _block, X.shape[0]), return_second
     )

@@ -49,6 +49,7 @@ from ._distances import (
     merge_row_block_assignments,
     row_norms_squared,
 )
+from ..runtime.parallel import fold_blocks, map_row_blocks
 
 __all__ = ["assign_factored", "grouped_row_sum", "resolve_assignment"]
 
@@ -109,9 +110,9 @@ def assign_factored(
         extra asymptotic cost.
     parallel : RowBlockPool, optional
         Row-parallel execution: each fixed row block computes its own
-        Grams and partial scores on a pool worker (this same function on
-        the slice), and the per-row outputs are concatenated in block
-        order.  Rows are scored independently, so the result is
+        Grams and partial scores on a pool worker (on the calling thread
+        without a pool), and the per-row outputs are concatenated in
+        block order.  Rows are scored independently, so the result is
         bit-identical at every pool width, and a memory-mapped ``X`` is
         only touched one block at a time.
 
@@ -135,59 +136,50 @@ def assign_factored(
     # int_prod, not np.prod: the implicit grid size overflows int64 for
     # large configurations (e.g. eight sets of 256) and np.prod wraps.
     k = int_prod(cardinalities)
-    if parallel is not None and n > 0:
-        if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        def _block(start, stop):
-            return assign_factored(
-                X[start:stop], thetas, agg, chunk_size=chunk_size,
-                x_squared_norms=x_squared_norms[start:stop],
-                return_second=return_second,
-            )
-
-        return merge_row_block_assignments(
-            parallel.map(_block, n), return_second
-        )
     if x_squared_norms is None:
-        x_squared_norms = row_norms_squared(X)
-
-    grams = agg.cross_gram(X, thetas)  # p matrices of shape (n, h_q)
-
-    second = None
-    if chunk_size <= 0 or chunk_size >= k:
+        x_squared_norms = row_norms_squared(X, parallel=parallel)
+    # The data-free self-interaction terms are computed once per call and
+    # shared by every row block.  The chunked sweep evaluates them per
+    # centroid chunk from small per-set tables, so nothing of size k is
+    # ever allocated and the memory mode's bounded-peak guarantee carries
+    # over.
+    full = chunk_size <= 0 or chunk_size >= k
+    if full:
         self_terms = agg.self_interaction(thetas)  # flat (k,)
-        partial = _full_partial_scores(grams, self_terms, cardinalities)
-        labels = np.argmin(partial, axis=1)
-        best = _row_min(partial, labels)
-        if return_second:
-            second = _row_second_min(partial, labels)
     else:
-        # The chunked sweep evaluates self-interactions per block from small
-        # per-set tables, so nothing of size k is ever allocated and the
-        # memory mode's bounded-peak guarantee carries over.
         self_term_block = agg.self_interaction_blocks(thetas)
-        result = _chunked_argmin(
-            n,
-            k,
-            chunk_size,
-            lambda start, stop: _partial_score_block(
-                grams, self_term_block, cardinalities, start, stop
-            ),
-            return_second=return_second,
-            dtype=_working_dtype(grams[0]),
-        )
-        if return_second:
-            labels, best, second = result
+
+    def _block(start, stop):
+        grams = agg.cross_gram(X[start:stop], thetas)  # p x (rows, h_q)
+        if full:
+            partial = _full_partial_scores(grams, self_terms, cardinalities)
+            labels = np.argmin(partial, axis=1)
+            best = _row_min(partial, labels)
+            second = _row_second_min(partial, labels) if return_second else None
         else:
-            labels, best = result
-    min_distances = x_squared_norms + best
-    np.maximum(min_distances, 0.0, out=min_distances)
-    if return_second:
-        second_distances = x_squared_norms + second
+            labels, best, *second = _chunked_argmin(
+                stop - start,
+                k,
+                chunk_size,
+                lambda lo, hi: _partial_score_block(
+                    grams, self_term_block, cardinalities, lo, hi
+                ),
+                return_second=return_second,
+                dtype=_working_dtype(grams[0]),
+            )
+            second = second[0] if return_second else None
+        norms = x_squared_norms[start:stop]
+        min_distances = norms + best
+        np.maximum(min_distances, 0.0, out=min_distances)
+        if not return_second:
+            return labels, min_distances
+        second_distances = norms + second
         np.maximum(second_distances, 0.0, out=second_distances)
         return labels, min_distances, second_distances
-    return labels, min_distances
+
+    return merge_row_block_assignments(
+        map_row_blocks(parallel, _block, n), return_second
+    )
 
 
 def _full_partial_scores(
@@ -253,27 +245,28 @@ def grouped_row_sum(
     float32 element widens to float64 exactly, so the result is
     bit-identical to summing a pre-widened copy.
 
-    With ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`),
-    each fixed row block computes its own fused-bincount partial and the
-    partials are **summed in ascending block order** — the accumulation
-    split is fixed by the block boundaries alone, so the result is
-    bit-identical at every pool width (and may differ from the single
-    sweep only in the last ulp, the same documented reorder the
-    ``update=`` knob carries).
+    Each fixed row block computes its own fused-bincount partial (on a
+    worker of ``parallel``, a :class:`~repro.runtime.parallel.RowBlockPool`,
+    or on the calling thread without one) and the partials are **summed
+    in ascending block order** — the accumulation split is fixed by the
+    block boundaries alone, so the result is bit-identical at every pool
+    width.
     """
     values = as_float_array(values)
-    n, m = values.shape
-    if parallel is not None and n > 0:
-        parts = parallel.map(
-            lambda start, stop: grouped_row_sum(
-                assignments[start:stop], values[start:stop], num_groups
-            ),
-            n,
-        )
-        out = parts[0]
-        for part in parts[1:]:
-            out += part
-        return out
+    return fold_blocks(map_row_blocks(
+        parallel,
+        lambda start, stop: _grouped_row_sum_block(
+            assignments[start:stop], values[start:stop], num_groups
+        ),
+        values.shape[0],
+    ))
+
+
+def _grouped_row_sum_block(
+    assignments: np.ndarray, values: np.ndarray, num_groups: int
+) -> np.ndarray:
+    """:func:`grouped_row_sum` over one row block."""
+    m = values.shape[1]
     if m == 0:
         return np.zeros((num_groups, m), dtype=np.float64)
     fused = assignments.astype(np.int64, copy=False)[:, None] * m + np.arange(

@@ -31,7 +31,7 @@ whereas the gather form materializes and walks several ``(n, m)`` float
 temporaries per set (the gathered rest, its combine, the subtraction, the
 optional weight product).  The only full-size allocation per factored pass
 is the fused ``(n, m)`` int64 index inside ``grouped_row_sum`` (plus
-``w·X`` once when weighted), which is where the measured ~3–10×
+the per-block ``w·X`` when weighted), which is where the measured ~3–10×
 constant-factor win comes from.
 
 The factored form *reorders* floating-point arithmetic relative to the
@@ -70,7 +70,8 @@ import numpy as np
 from .._validation import as_float_array
 from ..exceptions import ValidationError
 from ..linalg import get_aggregator
-from ._factored import grouped_row_sum
+from ..runtime.parallel import fold_blocks, map_row_blocks
+from ._factored import _grouped_row_sum_block, grouped_row_sum
 
 __all__ = [
     "UPDATE_MODES",
@@ -134,37 +135,34 @@ def pair_count_tables(
     fused ``bincount``; ``tables[r][q]`` shares the transpose rather than
     recounting.  Diagonal entries are ``None``.
 
-    With ``parallel`` (a :class:`~repro.runtime.parallel.RowBlockPool`),
-    each fixed row block counts its own tables and the partials are
-    summed in ascending block order — bit-identical at every pool width.
+    Each fixed row block (on a worker of ``parallel``, a
+    :class:`~repro.runtime.parallel.RowBlockPool`, or on the calling
+    thread without one) counts its own tables and the partials are summed
+    in ascending block order — bit-identical at every pool width.
     ``tables[r][q]`` stays a live transpose view of ``tables[q][r]``
     through the in-place fold.
     """
     p = len(cardinalities)
-    n = set_labels.shape[0]
-    if parallel is not None and n > 0:
-        parts = parallel.map(
-            lambda start, stop: pair_count_tables(
-                set_labels[start:stop], cardinalities,
-                None if weights is None else weights[start:stop],
-            ),
-            n,
-        )
-        tables = parts[0]
-        for part in parts[1:]:
-            for q in range(p):
-                for r in range(q + 1, p):
-                    tables[q][r] += part[q][r]
+
+    def _block(start, stop):
+        tables = [[None] * p for _ in range(p)]
+        for q in range(p):
+            for r in range(q + 1, p):
+                table = _pair_table(
+                    set_labels[start:stop, q], set_labels[start:stop, r],
+                    int(cardinalities[q]), int(cardinalities[r]),
+                    None if weights is None else weights[start:stop],
+                )
+                tables[q][r] = table
+                tables[r][q] = table.T
         return tables
-    tables: List[List[Optional[np.ndarray]]] = [[None] * p for _ in range(p)]
-    for q in range(p):
-        for r in range(q + 1, p):
-            table = _pair_table(
-                set_labels[:, q], set_labels[:, r],
-                int(cardinalities[q]), int(cardinalities[r]), weights,
-            )
-            tables[q][r] = table
-            tables[r][q] = table.T
+
+    parts = map_row_blocks(parallel, _block, set_labels.shape[0])
+    tables = parts[0]
+    for part in parts[1:]:
+        for q in range(p):
+            for r in range(q + 1, p):
+                tables[q][r] += part[q][r]
     return tables
 
 
@@ -227,27 +225,20 @@ def _group_mass(
     """Weighted point mass per protocentroid — one ``bincount``, shared by
     the update denominator and the empty-cluster reseed.
 
-    Blocked (``parallel``): per-block partial masses summed in block
-    order.  Unweighted masses are integer-valued, so they fold exactly
-    at every split; weighted masses follow the standard blocked-sum
-    contract (bit-identical across pool widths).
+    Per-block partial masses are summed in block order.  Unweighted
+    masses are integer-valued, so they fold exactly at every split;
+    weighted masses follow the standard blocked-sum contract
+    (bit-identical across pool widths).
     """
-    if parallel is not None and assignments.shape[0] > 0:
-        parts = parallel.map(
-            lambda start, stop: _group_mass(
-                assignments[start:stop],
-                None if weights is None else weights[start:stop],
-                num_groups,
-            ),
-            assignments.shape[0],
-        )
-        out = parts[0]
-        for part in parts[1:]:
-            out += part
-        return out
-    return np.bincount(
-        assignments, weights=weights, minlength=num_groups
-    ).astype(float, copy=False)
+    return fold_blocks(map_row_blocks(
+        parallel,
+        lambda start, stop: np.bincount(
+            assignments[start:stop],
+            weights=None if weights is None else weights[start:stop],
+            minlength=num_groups,
+        ).astype(float, copy=False),
+        assignments.shape[0],
+    ))
 
 
 def _weighted_grouped_row_sum(
@@ -259,31 +250,20 @@ def _weighted_grouped_row_sum(
 ) -> np.ndarray:
     """``grouped_row_sum(a, w·X)`` without ever materializing all of ``w·X``.
 
-    The blocked path weights one row block at a time before its fused
-    bincount — so a memory-mapped ``X`` streams through the update and the
-    only full-width temporaries are per-block.  The ``X[s:e] * w[s:e]``
-    products are elementwise (identical values under any partition) and the
-    partials fold in block order, preserving the pool-width bit-identity
-    contract.
+    Each row block is weighted on its own before its fused bincount — so
+    a memory-mapped ``X`` streams through the update and the only
+    full-width temporaries are per-block.  The ``X[s:e] * w[s:e]``
+    products are elementwise (identical values under any partition) and
+    the partials fold in block order, preserving the pool-width
+    bit-identity contract.
     """
-    if parallel is None or X.shape[0] == 0:
-        Xw = (
-            X if weights is None
-            else X * np.asarray(weights, dtype=X.dtype)[:, None]
-        )
-        return grouped_row_sum(assignments, Xw, num_groups)
-
     def _block(start, stop):
         Xb = X[start:stop]
         if weights is not None:
             Xb = Xb * np.asarray(weights[start:stop], dtype=X.dtype)[:, None]
-        return grouped_row_sum(assignments[start:stop], Xb, num_groups)
+        return _grouped_row_sum_block(assignments[start:stop], Xb, num_groups)
 
-    parts = parallel.map(_block, X.shape[0])
-    out = parts[0]
-    for part in parts[1:]:
-        out += part
-    return out
+    return fold_blocks(map_row_blocks(parallel, _block, X.shape[0]))
 
 
 def _reseed_empty(
@@ -343,9 +323,10 @@ def update_factored(
     parallel : RowBlockPool, optional
         Row-parallel execution: contingency tables, grouped sums and
         masses are computed as per-block partials folded in fixed block
-        order (bit-identical at every pool width); the Gauss-Seidel set
-        order is untouched.  Also the memmap seam — a mapped ``X`` is
-        weighted and reduced one block at a time.
+        order (bit-identical at every pool width; without a pool the
+        blocks run on the calling thread); the Gauss-Seidel set order is
+        untouched.  Also the memmap seam — a mapped ``X`` is weighted and
+        reduced one block at a time.
 
     Returns
     -------
@@ -359,23 +340,15 @@ def update_factored(
         )
     X = as_float_array(X)
     cardinalities = tuple(theta.shape[0] for theta in thetas)
-    # The legacy path hoists w·X once for all p grouped sums; the blocked
-    # path instead re-weights per block inside _weighted_grouped_row_sum so
-    # no (n, m) temporary exists (the memmap contract).
-    Xw = None if parallel is not None else (
-        X if weights is None else X * np.asarray(weights, dtype=X.dtype)[:, None]
-    )
     tables = pair_count_tables(set_labels, cardinalities, weights, parallel)
     new_thetas = [as_float_array(theta).copy() for theta in thetas]
     for q, h in enumerate(cardinalities):
         assignments = set_labels[:, q]
         mass = _group_mass(assignments, weights, h, parallel)
-        if parallel is None:
-            grouped_x = grouped_row_sum(assignments, Xw, h)
-        else:
-            grouped_x = _weighted_grouped_row_sum(
-                assignments, X, weights, h, parallel
-            )
+        # Re-weighted per block: no (n, m) w·X temporary (the memmap seam).
+        grouped_x = _weighted_grouped_row_sum(
+            assignments, X, weights, h, parallel
+        )
         numerator = factored_sum_numerator(q, new_thetas, grouped_x, tables)
         updated = new_thetas[q]
         non_empty = mass > 0
@@ -401,88 +374,76 @@ def update_gather(
     ``O(p·n·m)`` per call.  The factored kernel reproduces it to last-ulp
     drift for decomposable aggregators.
 
-    Blocked (``parallel``): each row block gathers its own rest slice and
-    reduces it, partials folded in block order — the ``(n, m)`` rest
-    temporaries shrink to per-block size (the memmap seam) and results are
-    bit-identical at every pool width.
+    Each row block gathers its own rest slice and reduces it, partials
+    folded in block order — the ``(n, m)`` rest temporaries shrink to
+    per-block size (the memmap seam) and results are bit-identical at
+    every pool width (``parallel``; the calling thread without a pool).
     """
     agg = get_aggregator(aggregator)
     X = as_float_array(X)
-    m = X.shape[1]
     cardinalities = tuple(theta.shape[0] for theta in thetas)
     w_column = (
         None if weights is None
         else np.asarray(weights, dtype=X.dtype)[:, None]
     )
-    is_product = agg.name == "product"
     new_thetas = [as_float_array(theta).copy() for theta in thetas]
     for q, h in enumerate(cardinalities):
-        assignments = set_labels[:, q]
-        mass = _group_mass(assignments, weights, h, parallel)
+        mass = _group_mass(set_labels[:, q], weights, h, parallel)
         updated = new_thetas[q]
-        if parallel is not None and X.shape[0] > 0:
-
-            def _block(start, stop):
-                rest_b = _rest_contribution(
-                    agg, new_thetas, set_labels[start:stop], q, m
-                )
-                Xb = X[start:stop]
-                a_b = assignments[start:stop]
-                wc_b = None if w_column is None else w_column[start:stop]
-                if is_product:
-                    x_rest = Xb * rest_b if wc_b is None else Xb * rest_b * wc_b
-                    r_rest = (
-                        rest_b * rest_b if wc_b is None
-                        else rest_b * rest_b * wc_b
-                    )
-                    return (
-                        grouped_row_sum(a_b, x_rest, h),
-                        grouped_row_sum(a_b, r_rest, h),
-                    )
-                diff = Xb - rest_b if wc_b is None else (Xb - rest_b) * wc_b
-                return grouped_row_sum(a_b, diff, h)
-
-            parts = parallel.map(_block, X.shape[0])
-            if is_product:
-                numerator = parts[0][0]
-                denominator = parts[0][1]
-                for part in parts[1:]:
-                    numerator += part[0]
-                    denominator += part[1]
-                safe = denominator > _EPSILON
-                updated[safe] = numerator[safe] / denominator[safe]
-            else:
-                numerator = parts[0]
-                for part in parts[1:]:
-                    numerator += part
-                non_empty = mass > 0
-                updated[non_empty] = (
-                    numerator[non_empty] / mass[non_empty, None]
-                )
+        numerator, denominator = _gather_sums(
+            agg, new_thetas, set_labels, q, X, w_column, parallel
+        )
+        if denominator is not None:
+            safe = denominator > _EPSILON
+            updated[safe] = numerator[safe] / denominator[safe]
         else:
-            rest = _rest_contribution(agg, new_thetas, set_labels, q, m)
-            if is_product:
-                # θ_q^j = Σ w·x ⊙ rest / Σ w·rest ⊙ rest over points with
-                # a_q = j (weighted Proposition 6.1).
-                x_rest = X * rest if w_column is None else X * rest * w_column
-                r_rest = (
-                    rest * rest if w_column is None
-                    else rest * rest * w_column
-                )
-                numerator = grouped_row_sum(assignments, x_rest, h)
-                denominator = grouped_row_sum(assignments, r_rest, h)
-                safe = denominator > _EPSILON
-                updated[safe] = numerator[safe] / denominator[safe]
-            else:
-                # θ_q^j = Σ w·(x − rest) / Σ w over points with a_q = j.
-                diff = X - rest if w_column is None else (X - rest) * w_column
-                numerator = grouped_row_sum(assignments, diff, h)
-                non_empty = mass > 0
-                updated[non_empty] = (
-                    numerator[non_empty] / mass[non_empty, None]
-                )
+            non_empty = mass > 0
+            updated[non_empty] = numerator[non_empty] / mass[non_empty, None]
         _reseed_empty(updated, mass, X, agg, rng, len(thetas), q)
     return new_thetas
+
+
+def _gather_sums(
+    aggregator,
+    thetas: Sequence[np.ndarray],
+    set_labels: np.ndarray,
+    q: int,
+    X: np.ndarray,
+    w_column: Optional[np.ndarray],
+    parallel=None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Grouped sums of the gather update for set ``q``.
+
+    ``(Σ w·(x − rest), None)`` per protocentroid for additive
+    aggregators; ``(Σ w·x ⊙ rest, Σ w·rest ⊙ rest)`` for the product
+    (weighted Proposition 6.1).  Each row block gathers its own rest
+    slice, partials folded in block order.
+    """
+    h = thetas[q].shape[0]
+    is_product = aggregator.name == "product"
+
+    def _block(start, stop):
+        rest = _rest_contribution(
+            aggregator, thetas, set_labels[start:stop], q, X.shape[1]
+        )
+        Xb = X[start:stop]
+        a_b = set_labels[start:stop, q]
+        wc_b = None if w_column is None else w_column[start:stop]
+        if is_product:
+            x_rest = Xb * rest if wc_b is None else Xb * rest * wc_b
+            r_rest = rest * rest if wc_b is None else rest * rest * wc_b
+            return (
+                _grouped_row_sum_block(a_b, x_rest, h),
+                _grouped_row_sum_block(a_b, r_rest, h),
+            )
+        diff = Xb - rest if wc_b is None else (Xb - rest) * wc_b
+        return _grouped_row_sum_block(a_b, diff, h), None
+
+    parts = map_row_blocks(parallel, _block, X.shape[0])
+    numerator = fold_blocks([part[0] for part in parts])
+    if not is_product:
+        return numerator, None
+    return numerator, fold_blocks([part[1] for part in parts])
 
 
 def update_protocentroids(

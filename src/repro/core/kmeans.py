@@ -33,7 +33,7 @@ from ..runtime.checkpoint import (
     write_checkpoint,
 )
 from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import open_row_pool, resolve_parallel
+from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
 from ._bounds import HamerlyBounds, check_pruning, dense_drift, hamerly_step
 from ._distances import (
     assign_to_nearest,
@@ -171,17 +171,16 @@ class KMeans:
         count, and restart failures are retried/tolerated per the
         config.  Incompatible with ``checkpoint``/``resume_from``.
     n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs the
-        per-iteration kernels over fixed row blocks on a supervised
-        thread pool: block boundaries depend only on ``(n, block_rows)``
-        and reductions merge in block order, so any two thread counts
-        are bit-identical.  Composes with ``n_jobs`` (restart workers
-        share the pool) and is the seam that streams a
-        :class:`numpy.memmap` ``X`` through ``fit`` block by block.
+        Width of the supervised thread pool the per-iteration kernels
+        run on, over fixed row blocks.  ``None`` (default) is one worker
+        per available core; an int (or a full
+        :class:`~repro.runtime.parallel.ParallelConfig`) sets it.  Block
+        boundaries depend only on ``(n, block_rows)`` and reductions
+        merge in block order, so every thread count is bit-identical.
+        Data of at most one block runs inline on the calling thread.
+        Composes with ``n_jobs`` (restart workers share the pool) and is
+        the seam that streams a :class:`numpy.memmap` ``X`` through
+        ``fit`` block by block.
 
     Attributes
     ----------
@@ -465,15 +464,13 @@ class KMeans:
             # Active-set tightening, row-blocked over the *subset*: each
             # row's distance is independent, so the blocked sweep is
             # bit-identical and gathers only one block of rows at a time.
-            if parallel is None or idx.size == 0:
-                return paired_squared_distances(X[idx], centers[labels[idx]])
-            parts = parallel.map(
+            return np.concatenate(map_row_blocks(
+                parallel,
                 lambda start, stop: paired_squared_distances(
                     X[idx[start:stop]], centers[labels[idx[start:stop]]]
                 ),
                 idx.size,
-            )
-            return np.concatenate(parts)
+            ))
 
         def rescore(idx):
             if idx is None:

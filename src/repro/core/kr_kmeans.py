@@ -115,7 +115,7 @@ from ..runtime.checkpoint import (
     write_checkpoint,
 )
 from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import open_row_pool, resolve_parallel
+from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
     khatri_rao_combine,
@@ -263,19 +263,18 @@ class KhatriRaoKMeans:
         restart failures retried/tolerated per the config.  Incompatible
         with ``checkpoint``/``resume_from``.
     n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs
-        assignment, updates and bound sweeps over fixed row blocks on a
-        supervised thread pool: block boundaries depend only on
-        ``(n, block_rows)`` and reductions merge in ascending block
-        order, so any two thread counts produce bit-identical labels,
-        inertia and iteration counts.  Composes with ``n_jobs`` (restart
-        workers share the pool) and is the seam that streams a
-        :class:`numpy.memmap` ``X`` through ``fit`` block by block —
-        larger-than-RAM datasets train through the identical code path.
+        Width of the supervised thread pool that assignment, updates and
+        bound sweeps run on, over fixed row blocks.  ``None`` (default)
+        is one worker per available core; an int (or a full
+        :class:`~repro.runtime.parallel.ParallelConfig`) sets it.  Block
+        boundaries depend only on ``(n, block_rows)`` and reductions
+        merge in ascending block order, so every thread count produces
+        bit-identical labels, inertia and iteration counts.  Data of at
+        most one block runs inline on the calling thread.  Composes with
+        ``n_jobs`` (restart workers share the pool) and is the seam that
+        streams a :class:`numpy.memmap` ``X`` through ``fit`` block by
+        block — larger-than-RAM datasets train through the identical
+        code path.
 
     Attributes
     ----------
@@ -684,32 +683,28 @@ class KhatriRaoKMeans:
         return_second: bool = False,
         parallel=None,
     ) -> Tuple[np.ndarray, ...]:
-        if parallel is not None and X.shape[0] > 0:
-            # Row-block the memory-mode sweep: each block runs its own
-            # centroid-chunk argmin (rows are scored independently, so the
-            # blocked result is bit-identical at every pool width).
-            if x_squared_norms is None:
-                x_squared_norms = row_norms_squared(X, parallel=parallel)
-            parts = parallel.map(
-                lambda start, stop: self._assign_chunked(
-                    X[start:stop], thetas, x_squared_norms[start:stop],
-                    return_second,
-                ),
-                X.shape[0],
-            )
-            return merge_row_block_assignments(parts, return_second)
+        # Row-block the memory-mode sweep: each block runs its own
+        # centroid-chunk argmin (rows are scored independently, so the
+        # blocked result is bit-identical at every pool width).
         if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X)
-        return _chunked_argmin(
-            X.shape[0],
-            self.n_clusters,
-            self.chunk_size,
-            lambda start, stop: squared_distances(
-                X,
-                self._materialize_chunk(thetas, start, stop),
-                x_squared_norms=x_squared_norms,
-            ),
-            return_second=return_second,
+            x_squared_norms = row_norms_squared(X, parallel=parallel)
+
+        def _block(start, stop):
+            Xb, norms = X[start:stop], x_squared_norms[start:stop]
+            return _chunked_argmin(
+                stop - start,
+                self.n_clusters,
+                self.chunk_size,
+                lambda lo, hi: squared_distances(
+                    Xb,
+                    self._materialize_chunk(thetas, lo, hi),
+                    x_squared_norms=norms,
+                ),
+                return_second=return_second,
+            )
+
+        return merge_row_block_assignments(
+            map_row_blocks(parallel, _block, X.shape[0]), return_second
         )
 
     def _combine_rows(
@@ -744,23 +739,20 @@ class KhatriRaoKMeans:
         unpruned argmin exactly wherever it actually recomputes.  Returns
         the labels and the fraction of points fully re-scored.
 
-        With ``parallel`` both sweeps go block-parallel: the tightening
+        Both sweeps run over row blocks of ``parallel``: the tightening
         gather over the active set splits on fixed blocks of ``idx`` (each
         active point's distance is independent, so concatenation is exact),
         and the rescore routes through the row-blocked assignment kernels.
         """
         def exact_squared(idx):
-            if parallel is None or idx.size == 0:
-                assigned = self._combine_rows(thetas, set_labels[idx])
-                return paired_squared_distances(X[idx], assigned)
-            parts = parallel.map(
+            return np.concatenate(map_row_blocks(
+                parallel,
                 lambda start, stop: paired_squared_distances(
                     X[idx[start:stop]],
                     self._combine_rows(thetas, set_labels[idx[start:stop]]),
                 ),
                 idx.size,
-            )
-            return np.concatenate(parts)
+            ))
 
         def rescore(idx):
             if idx is None:

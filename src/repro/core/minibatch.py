@@ -75,13 +75,12 @@ from ._distances import assign_to_nearest, row_norms_squared
 from ._factored import (
     ASSIGNMENT_MODES,
     assign_factored,
-    grouped_row_sum,
     resolve_assignment,
 )
 from ._update import (
     UPDATE_MODES,
+    _gather_sums,
     _group_mass,
-    _rest_contribution,
     _weighted_grouped_row_sum,
     factored_sum_numerator,
     pair_count_tables,
@@ -219,14 +218,12 @@ class MiniBatchKhatriRaoKMeans:
         estimators').  A callback raising ``KeyboardInterrupt`` triggers
         the graceful-interrupt path.
     n_threads : None, int or ParallelConfig
-        ``None`` (default) keeps the legacy single-sweep kernels —
-        bit-compatible with every earlier release — unless the
-        ``REPRO_N_THREADS`` environment variable engages the blocked
-        layer suite-wide.  An int (or a full
-        :class:`~repro.runtime.parallel.ParallelConfig`) runs each
-        batch's assignment and sufficient statistics, plus the final
-        full-data labeling, over fixed row blocks on a supervised
-        thread pool — bit-identical at every pool width, and the seam
+        Width of the supervised thread pool that each batch's assignment
+        and sufficient statistics, plus the final full-data labeling,
+        run on, over fixed row blocks.  ``None`` (default) is one worker
+        per available core; an int (or a full
+        :class:`~repro.runtime.parallel.ParallelConfig`) sets it.
+        Bit-identical at every pool width, and the seam
         that lets :meth:`fit` stream a :class:`numpy.memmap` ``X``
         (batches are gathered copies; only the final labeling touches
         the map, block by block).
@@ -1010,7 +1007,6 @@ class MiniBatchKhatriRaoKMeans:
         """
         thetas = self.protocentroids_
         set_labels = np.stack(np.unravel_index(labels, self.cardinalities), axis=1)
-        is_product = self.aggregator.name == "product"
         factored = self.uses_factored_update
         w_column = (
             None if sample_weight is None
@@ -1041,30 +1037,15 @@ class MiniBatchKhatriRaoKMeans:
                     ),
                     tables,
                 )
+                denominator = None
             else:
-                rest = _rest_contribution(
-                    self.aggregator, thetas, set_labels, q, batch.shape[1]
+                numerator, denominator = _gather_sums(
+                    self.aggregator, thetas, set_labels, q, batch, w_column,
+                    parallel,
                 )
-                if is_product:
-                    x_rest = (
-                        batch * rest if w_column is None
-                        else batch * rest * w_column
-                    )
-                    r_rest = (
-                        rest * rest if w_column is None
-                        else rest * rest * w_column
-                    )
-                    numerator = grouped_row_sum(assignments, x_rest, h, parallel)
-                    denominator = grouped_row_sum(assignments, r_rest, h, parallel)
-                else:
-                    diff = (
-                        batch - rest if w_column is None
-                        else (batch - rest) * w_column
-                    )
-                    numerator = grouped_row_sum(assignments, diff, h, parallel)
             batch_counts = _group_mass(assignments, sample_weight, h, parallel)
             for j in np.flatnonzero(batch_counts > 0):
-                if is_product:
+                if denominator is not None:
                     safe = denominator[j] > _EPSILON
                     target = thetas[q][j].copy()
                     target[safe] = numerator[j][safe] / denominator[j][safe]

@@ -1,46 +1,48 @@
 """Deterministic row-block execution layer.
 
-The second and third legs of the ROADMAP's multi-core execution layer:
-the chunked sweeps from PR 2 already partition assignment and update
-work into independent *row blocks*, so a supervised thread pool over
-those blocks parallelizes every hot loop (the GIL is released inside
-BLAS and ``bincount``) — and the same seam streams a memory-mapped ``X``
-through ``fit`` one block at a time, opening larger-than-RAM datasets.
+The one execution path under every estimator's hot loops: assignment
+and update work is partitioned into fixed *row blocks*, a supervised
+thread pool runs the blocks (the GIL is released inside BLAS and
+``bincount``), and the same seam streams a memory-mapped ``X`` through
+``fit`` one block at a time.
 
 The determinism contract
 ------------------------
-Floating-point sums are not associative, so a reduction split into
-partial per-block sums is only reproducible if the *partition* is
-reproducible.  The contract, enforced structurally:
-
 * **Block boundaries are a pure function of** ``(n_rows, block_rows)``
-  — :func:`row_blocks` never looks at the live thread count.  Raising
-  ``n_threads`` adds workers; it never moves a boundary.
-* **Merges happen in ascending block order.**  Per-row outputs (labels,
-  distances) are concatenated — each row lives in exactly one block, so
-  order is trivially preserved.  Sum-style outputs (grouped row sums,
-  weighted masses, contingency tables) are folded block 0, block 1, …
-  regardless of which worker finished first.
+  — :func:`row_blocks` never looks at the live thread count.
+* **Merges happen in ascending block order.**  Per-row outputs are
+  concatenated; sum-style outputs (grouped row sums, masses,
+  contingency tables) are folded block 0, block 1, … whichever worker
+  finished first.
 
-Together these make ``n_threads=1`` and ``n_threads=8`` **bit-identical
-by construction** — same partition, same per-block arithmetic, same
-merge order.  (The *blocked* path may differ from the legacy unblocked
-path in the last ulp once ``n_rows > block_rows`` — a documented
-accumulation-order change, exactly like the ``update=`` knob — which is
-why ``n_threads=None`` keeps the pre-PR-9 single-sweep kernels and all
-their goldens byte-for-byte.)
+So every pool width is **bit-identical by construction**, and a kernel
+called without a pool runs the same blocks in order on the calling
+thread (:func:`map_row_blocks`).
 
-Supervision reuses the :mod:`~repro.runtime.executor` idioms: a named
-``ThreadPoolExecutor``, deterministic error propagation (the lowest
-failing *block index* wins, never the first to cross the finish line),
-``cancel_futures`` shutdown, context-manager lifecycle.  There are no
-retries — the kernels are deterministic, so a failing block fails again.
+Cost rules
+----------
+* ``n_threads=None`` is one worker per core in the process's affinity
+  mask.
+* A map over a single block runs inline on the calling thread: no
+  executor, BLAS left alone.
+* While a pool has live workers, OpenBLAS runs ``max(1, cores // width)``
+  threads (never more than before) — a process-global setting, restored
+  when the last live pool closes.  With a BLAS other than numpy's
+  OpenBLAS the budget is a no-op.
+
+Supervision reuses the :mod:`~repro.runtime.executor` idioms: the lowest
+failing *block index* wins, remaining futures are cancelled, and there
+are no retries — the kernels are deterministic.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +53,9 @@ __all__ = [
     "DEFAULT_BLOCK_ROWS",
     "ParallelConfig",
     "RowBlockPool",
+    "blas_threads",
     "fold_blocks",
+    "map_row_blocks",
     "open_row_pool",
     "resolve_parallel",
     "row_blocks",
@@ -64,7 +68,13 @@ __all__ = [
 #: dominates dispatch overhead.
 DEFAULT_BLOCK_ROWS = 4096
 
-_ENV_N_THREADS = "REPRO_N_THREADS"
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 def row_blocks(n_rows: int, block_rows: int = DEFAULT_BLOCK_ROWS) -> Tuple[Tuple[int, int], ...]:
@@ -118,28 +128,14 @@ class ParallelConfig:
         )
 
 
-def resolve_parallel(value) -> Optional[ParallelConfig]:
+def resolve_parallel(value) -> ParallelConfig:
     """Normalize an estimator's ``n_threads`` knob.
 
-    ``None`` consults the ``REPRO_N_THREADS`` environment variable (so
-    CI can run the whole suite threaded without touching call sites);
-    unset, empty, or ``<= 0`` stays ``None`` — the legacy single-sweep
-    kernels, bit-compatible with every pre-runtime release.  An int
+    ``None`` is one worker per core this process may run on; an int
     becomes ``ParallelConfig(n_threads)``; a config passes through.
     """
     if value is None:
-        env = os.environ.get(_ENV_N_THREADS, "").strip()
-        if not env:
-            return None
-        try:
-            n_threads = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{_ENV_N_THREADS} must be an integer, got {env!r}"
-            ) from None
-        if n_threads <= 0:
-            return None
-        return ParallelConfig(n_threads)
+        return ParallelConfig(_cores())
     if isinstance(value, ParallelConfig):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -149,21 +145,89 @@ def resolve_parallel(value) -> Optional[ParallelConfig]:
     )
 
 
+# ---------------------------------------------------------------- BLAS budget
+#: (getter, setter) symbol pairs, newest OpenBLAS builds first.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_budget_lock = threading.Lock()
+_budget_depth = 0
+_budget_saved = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """``(get, set)`` thread-count functions of numpy's OpenBLAS, or ``None``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """The OpenBLAS thread count now in force, or ``None`` when numpy's
+    BLAS is not an OpenBLAS this module can reach."""
+    handle = _openblas()
+    return None if handle is None else int(handle[0]())
+
+
+def _enter_blas_budget(width: int) -> None:
+    """The first live pool saves the process's count and sets the budget."""
+    global _budget_depth, _budget_saved
+    handle = _openblas()
+    if handle is None:
+        return
+    with _budget_lock:
+        if _budget_depth == 0:
+            _budget_saved = int(handle[0]())
+            handle[1](min(_budget_saved, max(1, _cores() // width)))
+        _budget_depth += 1
+
+
+def _leave_blas_budget() -> None:
+    """The last live pool to close restores the count saved on first entry."""
+    global _budget_depth
+    handle = _openblas()
+    if handle is None:
+        return
+    with _budget_lock:
+        _budget_depth -= 1
+        if _budget_depth == 0:
+            handle[1](_budget_saved)
+
+
+# ----------------------------------------------------------------- the pool
 class RowBlockPool:
     """A supervised thread pool that maps kernels over fixed row blocks.
 
     ``map(block_fn, n_rows)`` calls ``block_fn(start, stop)`` once per
     :func:`row_blocks` boundary and returns the results **in block
-    order**, whatever order the workers finished in.  Every call — even
-    a single-block one — dispatches through the pool, so a threaded CI
-    run exercises the worker path on small fixtures too.
+    order**, whatever order the workers finished in.  A map over a
+    single block (or over zero rows, one empty block) runs inline on
+    the calling thread; the executor — and with it the BLAS budget — is
+    only started by the first multi-block map, and lives until
+    :meth:`close`.  Inline or threaded, the blocks and the merge order
+    are the same, so the results are too.
 
     Error handling is deterministic: when blocks fail, the exception
     from the *lowest failing block index* propagates (completion order
     never picks the error), remaining futures are cancelled, and the
     pool stays usable for the next call.  The pool is safe to share
-    across ``n_jobs`` restart workers — ``submit`` is thread-safe and
-    block workers never re-enter the pool.
+    across ``n_jobs`` restart workers — ``submit`` is thread-safe, the
+    executor is started once under a lock, and block workers never
+    re-enter the pool.
     """
 
     def __init__(self, config: ParallelConfig):
@@ -173,55 +237,62 @@ class RowBlockPool:
             )
         self.config = config
         self._executor: Optional[ThreadPoolExecutor] = None
-
-    @property
-    def n_threads(self) -> int:
-        return self.config.n_threads
-
-    @property
-    def block_rows(self) -> int:
-        return self.config.block_rows
+        self._closed = False
+        self._lock = threading.Lock()
 
     def blocks(self, n_rows: int) -> Tuple[Tuple[int, int], ...]:
         """The fixed partition this pool uses for ``n_rows`` rows."""
         return row_blocks(n_rows, self.config.block_rows)
 
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.n_threads,
-                thread_name_prefix="repro-rowblock",
-            )
-        return self._executor
+    def _ensure_executor(self) -> Optional[ThreadPoolExecutor]:
+        """The live executor, started on first use; ``None`` once closed."""
+        with self._lock:
+            if self._executor is None and not self._closed:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.config.n_threads,
+                    thread_name_prefix="repro-rowblock",
+                )
+                _enter_blas_budget(self.config.n_threads)
+            return self._executor
 
     def map(self, block_fn: Callable[[int, int], object], n_rows: int) -> List[object]:
         """Run ``block_fn(start, stop)`` per block; results in block order."""
+        if n_rows <= self.config.block_rows:
+            return [block_fn(0, n_rows)]  # at most one block: inline
         blocks = self.blocks(n_rows)
-        if not blocks:
-            return []
         executor = self._ensure_executor()
+        if executor is None:  # closed
+            return [block_fn(start, stop) for start, stop in blocks]
         futures = [executor.submit(block_fn, start, stop) for start, stop in blocks]
         results: List[object] = []
-        error: Optional[BaseException] = None
-        for future in futures:
-            if error is not None:
-                future.cancel()
-                continue
+        for index, future in enumerate(futures):
             try:
                 results.append(future.result())
-            except BaseException as exc:
+            except BaseException:
                 # Walking futures in block order means the first failure
-                # we see IS the lowest failing block index — every
-                # earlier block already returned.
-                error = exc
-        if error is not None:
-            raise error
+                # we see IS the lowest failing block index — every earlier
+                # block already returned.  Cancel the rest and wait out the
+                # ones already running, so no block outlives the map.
+                for pending in futures[index + 1:]:
+                    pending.cancel()
+                wait(futures)
+                raise
         return results
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Stop the workers, wait for their threads to exit and release
+        the BLAS budget.  A closed pool never restarts: a straggler still
+        mapping on it (an abandoned ``n_jobs`` restart) runs its blocks
+        inline."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self._closed = True
+        if executor is not None:
+            # Joining keeps one pool's threads from overlapping the next
+            # pool's (a stream opens one per batch), which measured lower
+            # peak memory than letting them exit in the background.
+            executor.shutdown(wait=True, cancel_futures=True)
+            _leave_blas_budget()
 
     def __enter__(self) -> "RowBlockPool":
         return self
@@ -234,26 +305,29 @@ class RowBlockPool:
         return f"RowBlockPool({self.config!r}, {state})"
 
 
-class _NullPool:
-    """Context manager yielding ``None``: the legacy unblocked path."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
-
-
-def open_row_pool(config: Optional[ParallelConfig]):
-    """Context manager for an estimator's fit/predict-scoped pool.
-
-    ``None`` config yields ``None`` (kernels take their legacy
-    single-sweep path); otherwise yields a live :class:`RowBlockPool`
-    and shuts it down on exit.
-    """
-    if config is None:
-        return _NullPool()
+def open_row_pool(config: ParallelConfig) -> RowBlockPool:
+    """The fit/predict-scoped pool for an estimator's resolved
+    ``n_threads``; use it as a context manager so it closes on exit."""
     return RowBlockPool(config)
+
+
+def map_row_blocks(
+    pool: Optional[RowBlockPool],
+    block_fn: Callable[[int, int], object],
+    n_rows: int,
+) -> List[object]:
+    """``pool.map(block_fn, n_rows)``; without a pool, the same fixed
+    :data:`DEFAULT_BLOCK_ROWS` blocks run in order on the calling thread.
+
+    The one dispatch point of every row-blocked kernel, so a kernel
+    called directly (no estimator, no pool) computes the identical
+    partition and merge order an estimator's pool would.
+    """
+    if pool is not None:
+        return pool.map(block_fn, n_rows)
+    if n_rows <= DEFAULT_BLOCK_ROWS:
+        return [block_fn(0, n_rows)]
+    return [block_fn(start, stop) for start, stop in row_blocks(n_rows)]
 
 
 def fold_blocks(parts: Sequence[np.ndarray]) -> np.ndarray:

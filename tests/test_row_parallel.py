@@ -6,20 +6,27 @@ merge in ascending block order, so ``n_threads=1`` and ``n_threads=8``
 produce bit-identical labels, inertia and iteration counts.  The same
 blocked seam streams a memory-mapped ``X`` through ``fit`` one block at
 a time, bit-identical to the in-RAM fit.
+
+The cost rules are tested too: a single-block map runs inline with no
+executor, and every fit leaves the OpenBLAS thread count as it found it.
 """
 
+import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro import KhatriRaoKMeans, KMeans
-from repro.core import MiniBatchKhatriRaoKMeans
+from repro.core import MiniBatchKhatriRaoKMeans, grouped_row_sum
+from repro.datasets import make_blobs
 from repro.exceptions import ValidationError
 from repro.runtime.parallel import (
     DEFAULT_BLOCK_ROWS,
     ParallelConfig,
     RowBlockPool,
+    blas_threads,
     fold_blocks,
     open_row_pool,
     resolve_parallel,
@@ -69,25 +76,10 @@ class TestRowBlocks:
 
 
 class TestResolveParallel:
-    def test_none_without_env_stays_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_THREADS", raising=False)
-        assert resolve_parallel(None) is None
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "3")
+    def test_none_is_one_worker_per_available_core(self):
         config = resolve_parallel(None)
-        assert config.n_threads == 3
+        assert config.n_threads == len(os.sched_getaffinity(0))
         assert config.block_rows == DEFAULT_BLOCK_ROWS
-
-    def test_env_empty_or_nonpositive_stays_none(self, monkeypatch):
-        for value in ("", "  ", "0", "-2"):
-            monkeypatch.setenv("REPRO_N_THREADS", value)
-            assert resolve_parallel(None) is None
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "many")
-        with pytest.raises(ValidationError):
-            resolve_parallel(None)
 
     def test_int_and_config_pass_through(self):
         assert resolve_parallel(4).n_threads == 4
@@ -155,10 +147,48 @@ class TestRowBlockPool:
         parts = [np.array([1.0]), np.array([2.0]), np.array([4.0])]
         assert fold_blocks(parts)[0] == 7.0
 
-    def test_open_row_pool_none(self):
-        with open_row_pool(None) as pool:
-            assert pool is None
+    def test_open_row_pool_yields_a_pool(self):
+        with open_row_pool(resolve_parallel(None)) as pool:
+            assert isinstance(pool, RowBlockPool)
 
+    def test_single_block_runs_inline(self):
+        caller = threading.current_thread().name
+        with RowBlockPool(_cfg(4)) as pool:
+            names = pool.map(
+                lambda s, e: threading.current_thread().name, SMALL_BLOCK
+            )
+            assert names == [caller]
+            assert pool._executor is None
+
+    def test_zero_rows_is_one_empty_inline_block(self):
+        with RowBlockPool(_cfg(4)) as pool:
+            assert pool.map(lambda s, e: (s, e), 0) == [(0, 0)]
+            assert pool._executor is None
+
+    def test_closed_pool_runs_inline(self):
+        pool = RowBlockPool(_cfg(2))
+        pool.map(lambda s, e: None, 4 * SMALL_BLOCK)
+        pool.close()
+        caller = threading.current_thread().name
+        names = pool.map(
+            lambda s, e: threading.current_thread().name, 4 * SMALL_BLOCK
+        )
+        assert names == [caller] * 4
+        assert pool._executor is None
+
+    def test_kernels_without_pool_match_every_width(self):
+        # No pool: the same fixed blocks run on the calling thread, so a
+        # direct kernel call agrees bit for bit with an estimator's pool.
+        rng = np.random.default_rng(3)
+        n = 2 * DEFAULT_BLOCK_ROWS + 17
+        X = rng.normal(size=(n, 5))
+        labels = rng.integers(7, size=n)
+        bare = grouped_row_sum(labels, X, 7)
+        for width in (1, 3):
+            with RowBlockPool(ParallelConfig(width)) as pool:
+                np.testing.assert_array_equal(
+                    grouped_row_sum(labels, X, 7, pool), bare
+                )
 
 def _fit_state(model):
     return model.labels_, model.inertia_, model.n_iter_
@@ -256,17 +286,23 @@ class TestThreadCountDeterminism:
             np.testing.assert_array_equal(fits[0].labels_, fits[1].labels_)
             assert fits[0].inertia_ == fits[1].inertia_
 
-    def test_env_var_engages_blocked_layer(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_N_THREADS", "2")
-        threaded = KhatriRaoKMeans((2, 2), n_init=2, random_state=0).fit(data)
-        assert threaded.n_threads is not None
-        monkeypatch.delenv("REPRO_N_THREADS")
-        plain = KhatriRaoKMeans((2, 2), n_init=2, random_state=0).fit(data)
-        # n < DEFAULT_BLOCK_ROWS → single block → identical to the legacy
-        # sweep (this is what keeps the threaded CI leg golden-safe).
-        assert data.shape[0] < DEFAULT_BLOCK_ROWS
-        np.testing.assert_array_equal(threaded.labels_, plain.labels_)
-        assert threaded.inertia_ == plain.inertia_
+    @pytest.mark.parametrize("cls", [KhatriRaoKMeans, KMeans])
+    def test_default_width_on_multi_block_data(self, cls):
+        # Three blocks at the default block size: n_threads=1, the
+        # default width and n_threads=8 all run the same partition.
+        X, _ = make_blobs(2 * DEFAULT_BLOCK_ROWS + 500, n_features=4,
+                          n_clusters=4, random_state=2)
+        first = (2, 2) if cls is KhatriRaoKMeans else 4
+        fits = [
+            cls(first, n_init=1, max_iter=20, random_state=0,
+                n_threads=t).fit(X)
+            for t in (1, None, 8)
+        ]
+        labels, inertia, n_iter = _fit_state(fits[0])
+        for other in fits[1:]:
+            np.testing.assert_array_equal(other.labels_, labels)
+            assert other.inertia_ == inertia
+            assert other.n_iter_ == n_iter
 
     def test_n_jobs_composes_with_n_threads(self, data):
         # n_jobs runs restarts on spawned per-restart streams (its own
@@ -366,3 +402,163 @@ class TestMemmapStreaming:
         mm = self._memmap(tmp_path, data, dtype=np.float32)
         with pytest.raises(ValidationError, match="memory-mapped"):
             KhatriRaoKMeans((2, 2), dtype="float64", n_threads=_cfg(2)).fit(mm)
+
+
+#: Start count of the BLAS-budget tests: above every budget, so a
+#: missed restore cannot go unseen.
+START_BLAS_THREADS = len(os.sched_getaffinity(0)) + 1
+
+
+@pytest.fixture
+def before():
+    """Set OpenBLAS to :data:`START_BLAS_THREADS` for one test, then put
+    back the count the suite had; skips without a reachable OpenBLAS."""
+    from repro.runtime import parallel
+
+    handle = parallel._openblas()
+    if handle is None:
+        pytest.skip("numpy's BLAS is not a reachable OpenBLAS")
+    saved = handle[0]()
+    handle[1](START_BLAS_THREADS)
+    yield blas_threads()
+    handle[1](saved)
+
+
+def _budget(before, width):
+    return min(before, max(1, len(os.sched_getaffinity(0)) // width))
+
+
+class TestBlasBudget:
+    """While a pool has live workers OpenBLAS runs ``cores // width``
+    threads; every fit leaves the process's count as it found it."""
+
+    def test_budget_while_workers_live_then_restored(self, before):
+        seen = []
+        with RowBlockPool(_cfg(2)) as pool:
+            assert blas_threads() == before  # no workers yet
+            pool.map(lambda s, e: seen.append(blas_threads()), 4 * SMALL_BLOCK)
+            assert blas_threads() == _budget(before, 2)  # between maps
+        assert set(seen) == {_budget(before, 2)}
+        assert blas_threads() == before
+
+    def test_restored_when_a_block_raises(self, before):
+
+        def block(start, stop):
+            if start == SMALL_BLOCK:
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            with RowBlockPool(_cfg(2)) as pool:
+                pool.map(block, 4 * SMALL_BLOCK)
+        assert blas_threads() == before
+
+    def test_restored_on_interrupt_salvage(self, data, before, monkeypatch):
+        # A KeyboardInterrupt raised inside a block mid-fit, while the
+        # pool holds the budget, takes the estimator's salvage path.
+        original = RowBlockPool.map
+        calls, seen = [], []
+
+        def interrupting_map(pool, block_fn, n_rows):
+            calls.append(n_rows)
+
+            def block(start, stop):
+                seen.append(blas_threads())
+                if len(calls) == 10 and start > 0:
+                    raise KeyboardInterrupt
+                return block_fn(start, stop)
+
+            return original(pool, block, n_rows)
+
+        monkeypatch.setattr(RowBlockPool, "map", interrupting_map)
+        model = KhatriRaoKMeans(
+            (2, 2), n_init=3, random_state=0, n_threads=_cfg(2),
+        ).fit(data)
+        assert len(calls) > 10
+        assert not model.converged_  # the salvage path ran
+        assert _budget(before, 2) in seen
+        assert blas_threads() == before
+
+    def test_concurrent_fits_both_restore(self, data, before):
+        barrier = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def meet(restart, iteration):
+            if iteration == 1:
+                barrier.wait()  # both fits are mid-run here
+
+        def fit(width):
+            try:
+                KhatriRaoKMeans(
+                    (2, 2), n_init=1, random_state=0, n_threads=_cfg(width),
+                    callback=meet,
+                ).fit(data)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fit, args=(w,)) for w in (2, 4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not errors
+        assert blas_threads() == before
+
+    def test_many_overlapping_pools_restore(self, before):
+        # More pools than cores opening and closing under a short switch
+        # interval: a lost update to the shared depth count would leave
+        # the budget in force (or restore it while a pool is still live).
+        from repro.runtime import parallel
+
+        errors = []
+
+        def churn(width):
+            try:
+                for _ in range(20):
+                    with RowBlockPool(_cfg(width)) as pool:
+                        seen = pool.map(
+                            lambda s, e: blas_threads(), 3 * SMALL_BLOCK
+                        )
+                    assert all(t < before for t in seen)
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(1 + i % 3,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert parallel._budget_depth == 0
+        assert blas_threads() == before
+
+    def test_single_block_fit_starts_no_executor(self, data, monkeypatch,
+                                                 before):
+        from repro.runtime import parallel
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a single-block fit started an executor")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_executor)
+        seen = []
+        assert data.shape[0] <= DEFAULT_BLOCK_ROWS
+        for model in (
+            KhatriRaoKMeans((2, 2), n_init=2, random_state=0),
+            KMeans(4, n_init=2, random_state=0),
+            MiniBatchKhatriRaoKMeans((2, 2), batch_size=96, max_steps=5,
+                                     random_state=0),
+        ):
+            model.callback = lambda restart, step: seen.append(blas_threads())
+            model.fit(data)
+            model.predict(data)
+        assert seen and set(seen) == {before}
+        assert blas_threads() == before
