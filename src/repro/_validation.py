@@ -21,6 +21,7 @@ __all__ = [
     "as_float_array",
     "check_positive_int",
     "check_in",
+    "check_n_features",
     "check_cardinalities",
     "check_random_state",
     "int_prod",
@@ -170,6 +171,14 @@ def check_positive_int(value, name: str, *, minimum: int = 1) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_n_features(X: np.ndarray, n_features: int) -> None:
+    """Reject new rows whose width differs from the fitted model's."""
+    if X.shape[1] != n_features:
+        raise ValidationError(
+            f"X has {X.shape[1]} features, model was fitted with {n_features}"
+        )
 
 
 def check_in(value, name: str, allowed: Sequence) -> object:

@@ -78,6 +78,7 @@ __all__ = [
     "resolve_update",
     "pair_count_tables",
     "factored_sum_numerator",
+    "set_statistics",
     "sum_sufficient_statistics",
     "update_factored",
     "update_gather",
@@ -338,23 +339,7 @@ def update_factored(
             f"aggregator {agg.name!r} does not support the contingency-table "
             "update; use the gather path instead"
         )
-    X = as_float_array(X)
-    cardinalities = tuple(theta.shape[0] for theta in thetas)
-    tables = pair_count_tables(set_labels, cardinalities, weights, parallel)
-    new_thetas = [as_float_array(theta).copy() for theta in thetas]
-    for q, h in enumerate(cardinalities):
-        assignments = set_labels[:, q]
-        mass = _group_mass(assignments, weights, h, parallel)
-        # Re-weighted per block: no (n, m) w·X temporary (the memmap seam).
-        grouped_x = _weighted_grouped_row_sum(
-            assignments, X, weights, h, parallel
-        )
-        numerator = factored_sum_numerator(q, new_thetas, grouped_x, tables)
-        updated = new_thetas[q]
-        non_empty = mass > 0
-        updated[non_empty] = numerator[non_empty] / mass[non_empty, None]
-        _reseed_empty(updated, mass, X, agg, rng, len(thetas), q)
-    return new_thetas
+    return _sweep(X, thetas, set_labels, agg, rng, weights, True, parallel)
 
 
 def update_gather(
@@ -380,19 +365,65 @@ def update_gather(
     every pool width (``parallel``; the calling thread without a pool).
     """
     agg = get_aggregator(aggregator)
-    X = as_float_array(X)
+    return _sweep(X, thetas, set_labels, agg, rng, weights, False, parallel)
+
+
+def set_statistics(
+    X: np.ndarray,
+    thetas: Sequence[np.ndarray],
+    set_labels: np.ndarray,
+    aggregator,
+    weights: Optional[np.ndarray] = None,
+    factored: bool = False,
+    parallel=None,
+):
+    """Sufficient statistics of one Gauss-Seidel sweep, set by set.
+
+    Yields ``(q, numerator, denominator, mass)`` for ``q = 0, 1, ...``;
+    the caller moves ``thetas[q]`` in place before asking for the next
+    set, so set ``q`` is computed against the updated sets ``r < q`` and
+    the old sets ``r > q``.  ``factored`` assembles the numerator through
+    the contingency tables (``denominator`` is ``None``: divide by
+    ``mass``); otherwise it is the grouped sums of the aggregator's
+    ``update_terms`` (:func:`_gather_sums`).  The batch update
+    (:func:`update_protocentroids`) jumps to the quotient; the mini-batch
+    estimator steps toward it.
+    """
     cardinalities = tuple(theta.shape[0] for theta in thetas)
-    w_column = (
-        None if weights is None
-        else np.asarray(weights, dtype=X.dtype)[:, None]
-    )
-    new_thetas = [as_float_array(theta).copy() for theta in thetas]
-    for q, h in enumerate(cardinalities):
-        mass = _group_mass(set_labels[:, q], weights, h, parallel)
-        updated = new_thetas[q]
-        numerator, denominator = _gather_sums(
-            agg, new_thetas, set_labels, q, X, w_column, parallel
+    if factored:
+        tables = pair_count_tables(set_labels, cardinalities, weights, parallel)
+    else:
+        w_column = (
+            None if weights is None
+            else np.asarray(weights, dtype=X.dtype)[:, None]
         )
+    for q, h in enumerate(cardinalities):
+        assignments = set_labels[:, q]
+        mass = _group_mass(assignments, weights, h, parallel)
+        if factored:
+            # Re-weighted per block: no (n, m) w·X temporary (the memmap
+            # seam).
+            grouped_x = _weighted_grouped_row_sum(
+                assignments, X, weights, h, parallel
+            )
+            numerator = factored_sum_numerator(q, thetas, grouped_x, tables)
+            denominator = None
+        else:
+            numerator, denominator = _gather_sums(
+                aggregator, thetas, set_labels, q, X, w_column, parallel
+            )
+        yield q, numerator, denominator, mass
+
+
+def _sweep(X, thetas, set_labels, agg, rng, weights, factored, parallel):
+    """One closed-form update sweep: the quotient of each set's
+    statistics, then the empty-protocentroid reseed."""
+    X = as_float_array(X)
+    new_thetas = [as_float_array(theta).copy() for theta in thetas]
+    for q, numerator, denominator, mass in set_statistics(
+        X, new_thetas, set_labels, agg, weights, factored, parallel
+    ):
+        updated = new_thetas[q]
         if denominator is not None:
             safe = denominator > _EPSILON
             updated[safe] = numerator[safe] / denominator[safe]
@@ -414,34 +445,30 @@ def _gather_sums(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Grouped sums of the gather update for set ``q``.
 
-    ``(Σ w·(x − rest), None)`` per protocentroid for additive
-    aggregators; ``(Σ w·x ⊙ rest, Σ w·rest ⊙ rest)`` for the product
-    (weighted Proposition 6.1).  Each row block gathers its own rest
-    slice, partials folded in block order.
+    The grouped (weighted) sums of the aggregator's ``update_terms`` per
+    protocentroid: ``(Σ w·(x − rest), None)`` for the sum,
+    ``(Σ w·x ⊙ rest, Σ w·rest ⊙ rest)`` for the product (weighted
+    Proposition 6.1).  Each row block gathers its own rest slice, partials
+    folded in block order.
     """
     h = thetas[q].shape[0]
-    is_product = aggregator.name == "product"
 
     def _block(start, stop):
         rest = _rest_contribution(
             aggregator, thetas, set_labels[start:stop], q, X.shape[1]
         )
-        Xb = X[start:stop]
         a_b = set_labels[start:stop, q]
-        wc_b = None if w_column is None else w_column[start:stop]
-        if is_product:
-            x_rest = Xb * rest if wc_b is None else Xb * rest * wc_b
-            r_rest = rest * rest if wc_b is None else rest * rest * wc_b
-            return (
-                _grouped_row_sum_block(a_b, x_rest, h),
-                _grouped_row_sum_block(a_b, r_rest, h),
+        terms = aggregator.update_terms(X[start:stop], rest)
+        return tuple(
+            None if term is None else _grouped_row_sum_block(
+                a_b, term if w_column is None else term * w_column[start:stop], h
             )
-        diff = Xb - rest if wc_b is None else (Xb - rest) * wc_b
-        return _grouped_row_sum_block(a_b, diff, h), None
+            for term in terms
+        )
 
     parts = map_row_blocks(parallel, _block, X.shape[0])
     numerator = fold_blocks([part[0] for part in parts])
-    if not is_product:
+    if parts[0][1] is None:
         return numerator, None
     return numerator, fold_blocks([part[1] for part in parts])
 

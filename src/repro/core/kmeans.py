@@ -9,7 +9,6 @@ which mirrors the implementation of Khatri-Rao-k-Means", Appendix B).
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -19,29 +18,18 @@ from .._validation import (
     check_array,
     check_dtype,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
-from ..exceptions import ConvergenceWarning, NotFittedError, ValidationError
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
-from ..runtime.executor import resolve_executor, run_restarts
-from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
-from ._bounds import HamerlyBounds, check_pruning, dense_drift, hamerly_step
-from ._distances import (
-    assign_to_nearest,
-    paired_squared_distances,
-    row_norms_squared,
-    squared_distances,
-)
+from ..exceptions import NotFittedError, ValidationError
+from ..runtime.checkpoint import resolve_checkpoint
+from ..runtime.executor import resolve_executor
+from ..runtime.parallel import open_row_pool, resolve_parallel
+from ._bounds import check_pruning, dense_drift
+from ._distances import assign_to_nearest, row_norms_squared, squared_distances
 from ._factored import grouped_row_sum
+from ._lloyd import fit_restarts, state_array
 from ._update import _group_mass
 
 __all__ = ["KMeans", "kmeans_plus_plus_init"]
@@ -269,110 +257,13 @@ class KMeans:
         weights = _check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
         rng = check_random_state(self.random_state)
         with open_row_pool(self.n_threads) as pool:
-            return self._fit(X, sample_weight, weights, rng, pool)
-
-    def _fit(self, X, sample_weight, weights, rng, parallel) -> "KMeans":
-        # ‖x‖² is constant across iterations and restarts — pay for it once.
-        x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        # ... and so is the weighted data matrix feeding the centroid sums.
-        # Unweighted fits reuse X itself: X·1 is exact, so results are
-        # unchanged, and a memory-mapped X is never materialized in RAM.
-        weighted_X = X if sample_weight is None else X * weights[:, None]
-
-        if self.n_jobs is not None:
-            # Supervised parallel sweep: per-restart spawned streams, so
-            # the selected model is identical at every worker count.  The
-            # row pool is shared across restart workers (submit is
-            # thread-safe; block workers never re-enter the pool).
-            def run_one(gen, seed_index):
-                (centers, labels, run_inertia, iterations, run_converged,
-                 run_interrupted) = self._single_run(
-                    X, gen, weights, weighted_X, x_squared_norms,
-                    restart_index=seed_index,
-                    parallel=parallel,
-                )
-                if run_interrupted:
-                    # A callback-raised interrupt inside a worker: surface
-                    # it so the sweep reports interrupted (the executor
-                    # keeps every restart that already completed).
-                    raise KeyboardInterrupt
-                return run_inertia, (centers, labels, iterations, run_converged)
-
-            report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
-            if report.interrupted and not report.outcomes:
-                raise KeyboardInterrupt
-            # Warn here, on the calling thread, not on the executor thread
-            # that ran the restart.
-            for outcome in report.outcomes:
-                if not outcome.payload[-1]:
-                    self._warn_not_converged()
-            best = report.best()
-            self.cluster_centers_, self.labels_, self.n_iter_, _ = best.payload
-            self.inertia_ = best.inertia
-            self.converged_ = not report.interrupted
-            return self
-
-        best_inertia = np.inf
-        best_centers = None
-        best_labels = None
-        best_iterations = 0
-        start_restart = 0
-        resume_state = None
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
-            else None
-        )
-        if self.resume_from is not None:
-            (start_restart, resume_state, best_resumed) = self._load_checkpoint(
-                rng, fingerprint, x_squared_norms, X.shape[1]
+            best, interrupted = fit_restarts(
+                self, _KMeansLloyd(self, X, weights, sample_weight, pool), rng
             )
-            if best_resumed is not None:
-                best_centers, best_labels, best_inertia, best_iterations = (
-                    best_resumed
-                )
-        interrupted = False
-        for restart in range(start_restart, self.n_init):
-            best_state = (
-                None if best_centers is None
-                else (best_centers, best_labels, best_inertia, best_iterations)
-            )
-            try:
-                (centers, labels, run_inertia, iterations, run_converged,
-                 run_interrupted) = self._single_run(
-                    X, rng, weights, weighted_X, x_squared_norms,
-                    restart_index=restart,
-                    resume=resume_state,
-                    fingerprint=fingerprint,
-                    best_state=best_state,
-                    parallel=parallel,
-                )
-            except KeyboardInterrupt:
-                # Interrupted before this restart completed one iteration:
-                # keep the best earlier restart if there is one.
-                if best_centers is None:
-                    raise
-                interrupted = True
-                break
-            resume_state = None
-            if not run_converged:
-                self._warn_not_converged()
-            if run_inertia < best_inertia:
-                best_inertia = run_inertia
-                best_centers = centers
-                best_labels = labels
-                best_iterations = iterations
-            if run_interrupted:
-                interrupted = True
-                break
-
-        self.cluster_centers_ = best_centers
-        self.labels_ = best_labels
-        self.inertia_ = float(best_inertia)
-        self.n_iter_ = best_iterations
+        self.cluster_centers_ = best.model
+        self.labels_ = best.labels
+        self.inertia_ = float(best.inertia)
+        self.n_iter_ = best.n_iter
         self.converged_ = not interrupted
         return self
 
@@ -382,13 +273,7 @@ class KMeans:
 
     def predict(self, X) -> np.ndarray:
         """Assign each row of ``X`` to its nearest learned centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
-        if X.shape[1] != self.cluster_centers_.shape[1]:
-            raise ValidationError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.cluster_centers_.shape[1]}"
-            )
+        X = self._check_new_rows(X)
         with open_row_pool(self.n_threads) as pool:
             labels, _ = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
@@ -397,14 +282,12 @@ class KMeans:
 
     def transform(self, X) -> np.ndarray:
         """Squared distances of each row of ``X`` to every centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
+        X = self._check_new_rows(X)
         return squared_distances(X, self.cluster_centers_)
 
     def score(self, X) -> float:
         """Negative inertia of ``X`` under the learned centroids."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.cluster_centers_.dtype)
+        X = self._check_new_rows(X)
         with open_row_pool(self.n_threads) as pool:
             _, distances = assign_to_nearest(
                 X, self.cluster_centers_, parallel=pool
@@ -417,18 +300,15 @@ class KMeans:
         return int(self.cluster_centers_.size)
 
     # ------------------------------------------------------------ internals
-    def _warn_not_converged(self) -> None:
-        # Called from _fit only: stacklevel 4 skips this method, _fit and
-        # fit, so the warning names the line that called fit().
-        warnings.warn(
-            f"KMeans did not converge in {self.max_iter} iterations",
-            ConvergenceWarning,
-            stacklevel=4,
-        )
-
     def _check_fitted(self) -> None:
         if self.cluster_centers_ is None:
             raise NotFittedError("this KMeans instance is not fitted yet; call fit first")
+
+    def _check_new_rows(self, X) -> np.ndarray:
+        self._check_fitted()
+        X = check_array(X, dtype=self.cluster_centers_.dtype)
+        check_n_features(X, self.cluster_centers_.shape[1])
+        return X
 
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.init == "k-means++":
@@ -441,52 +321,6 @@ class KMeans:
         """Whether Lloyd iterations run with Hamerly bounds pruning."""
         return self.pruning != "none"
 
-    def _assign_step(
-        self,
-        X: np.ndarray,
-        centers: np.ndarray,
-        labels: np.ndarray,
-        bounds: Optional[HamerlyBounds],
-        x_squared_norms: np.ndarray,
-        parallel=None,
-    ):
-        """One assignment pass; returns ``(labels, min_distances_or_None)``.
-
-        ``min_distances`` is ``None`` on pruned iterations — the caller
-        recomputes it on demand (only the empty-cluster reseed needs it).
-        """
-        if bounds is None:
-            return assign_to_nearest(
-                X, centers, x_squared_norms=x_squared_norms, parallel=parallel
-            )
-
-        def exact_squared(idx):
-            # Active-set tightening, row-blocked over the *subset*: each
-            # row's distance is independent, so the blocked sweep is
-            # bit-identical and gathers only one block of rows at a time.
-            return np.concatenate(map_row_blocks(
-                parallel,
-                lambda start, stop: paired_squared_distances(
-                    X[idx[start:stop]], centers[labels[idx[start:stop]]]
-                ),
-                idx.size,
-            ))
-
-        def rescore(idx):
-            if idx is None:
-                return assign_to_nearest(
-                    X, centers, x_squared_norms=x_squared_norms,
-                    return_second=True, parallel=parallel,
-                )
-            return assign_to_nearest(
-                X[idx], centers, x_squared_norms=x_squared_norms[idx],
-                return_second=True, parallel=parallel,
-            )
-
-        labels, _, full_d1 = hamerly_step(bounds, labels, exact_squared, rescore)
-        return labels, full_d1
-
-    # --------------------------------------------------------- checkpointing
     def _param_header(self) -> dict:
         """Configuration fingerprint a checkpoint must match to resume."""
         # n_threads is deliberately absent: pool width never changes
@@ -502,184 +336,75 @@ class KMeans:
             "dtype": np.dtype(self.dtype_).name,
         }
 
-    def _write_checkpoint(
-        self, restart, iteration, centers, labels, bounds, rng,
-        fingerprint, best_state,
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(iteration):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "restart": restart,
-            "iteration": iteration,
-            "rng_state": serialize_rng_state(rng),
-            "bounds_initialized": (
-                None if bounds is None else bool(bounds.initialized)
-            ),
-            "has_best": best_state is not None,
-            "best_inertia": (
-                None if best_state is None else float(best_state[2])
-            ),
-            "best_iterations": (
-                0 if best_state is None else int(best_state[3])
-            ),
-        }
-        arrays = {"centers": centers, "labels": labels}
-        if bounds is not None:
-            arrays["bounds_upper"] = bounds.upper
-            arrays["bounds_lower"] = bounds.lower
-        if best_state is not None:
-            arrays["best_centers"] = best_state[0]
-            arrays["best_labels"] = best_state[1]
-        write_checkpoint(self.checkpoint.path, header, arrays)
 
-    def _load_checkpoint(self, rng, fingerprint, x_squared_norms, n_features):
-        """Verify and unpack ``resume_from``; restores ``rng`` in place.
+class _KMeansLloyd:
+    """``KMeans`` as an adapter of the Lloyd engine (:mod:`._lloyd`)."""
 
-        Returns ``(restart_index, resume_state, best_state_or_None)``
-        where ``resume_state`` re-enters :meth:`_single_run` at the
-        checkpointed iteration's successor.
-        """
-        from ..exceptions import CheckpointError
+    logs_fractions = False
 
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
+    def __init__(self, est, X, weights, sample_weight, parallel):
+        self.est, self.X, self.weights, self.parallel = est, X, weights, parallel
+        self.prunes = est.uses_pruning
+        # ‖x‖² is constant across iterations and restarts — pay for it once.
+        self.x_squared_norms = row_norms_squared(X, parallel=parallel)
+        # ... and so is the weighted data matrix feeding the centroid sums.
+        # Unweighted fits reuse X itself: X·1 is exact, so results are
+        # unchanged, and a memory-mapped X is never materialized in RAM.
+        self.weighted_X = X if sample_weight is None else X * weights[:, None]
+
+    def init(self, rng):
+        return self.est._init_centers(self.X, rng)
+
+    def assign(self, centers, X, x_squared_norms, return_second=False):
+        return assign_to_nearest(
+            X, centers, x_squared_norms=x_squared_norms,
+            return_second=return_second, parallel=self.parallel,
         )
-        restore_rng_state(rng, header["rng_state"])
-        centers = np.ascontiguousarray(arrays["centers"], dtype=self.dtype_)
-        labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
-        bounds = None
-        if self.uses_pruning:
-            if "bounds_upper" not in arrays:
-                raise CheckpointError(
-                    f"{self.resume_from} carries no pruning bounds but the "
-                    "resuming estimator prunes", field="bounds_upper",
-                )
-            # The dtype-margin scalars are deterministic functions of the
-            # constructor inputs, so only the per-point arrays and the
-            # initialized flag need the round trip.
-            bounds = HamerlyBounds(x_squared_norms, n_features)
-            bounds.upper = np.ascontiguousarray(
-                arrays["bounds_upper"], dtype=np.float64
-            )
-            bounds.lower = np.ascontiguousarray(
-                arrays["bounds_lower"], dtype=np.float64
-            )
-            bounds.initialized = bool(header["bounds_initialized"])
-        resume_state = (centers, labels, bounds, int(header["iteration"]) + 1)
-        best_state = None
-        if header.get("has_best"):
-            best_state = (
-                np.ascontiguousarray(arrays["best_centers"], dtype=self.dtype_),
-                np.ascontiguousarray(arrays["best_labels"], dtype=np.int64),
-                float(header["best_inertia"]),
-                int(header["best_iterations"]),
-            )
-        return int(header["restart"]), resume_state, best_state
 
-    def _single_run(
-        self,
-        X: np.ndarray,
-        rng: np.random.Generator,
-        weights: np.ndarray,
-        weighted_X: np.ndarray,
-        x_squared_norms: np.ndarray,
-        restart_index: int = 0,
-        resume=None,
-        fingerprint=None,
-        best_state=None,
-        parallel=None,
-    ):
-        if resume is None:
-            centers = self._init_centers(X, rng)
-            bounds = (
-                HamerlyBounds(x_squared_norms, X.shape[1])
-                if self.uses_pruning else None
-            )
-            labels = np.zeros(X.shape[0], dtype=np.int64)
-            start = 1
-        else:
-            centers, labels, bounds, start = resume
-        interrupted = False
-        converged = False
-        # `completed` and `centers` advance together at the end of each
-        # iteration, so the KeyboardInterrupt handler always sees a
-        # consistent last-completed state even mid-iteration.
-        completed = start - 1
-        try:
-            for iterations in range(start, self.max_iter + 1):
-                labels, min_distances = self._assign_step(
-                    X, centers, labels, bounds, x_squared_norms, parallel
+    def decode(self, labels):
+        return labels
+
+    def assigned_rows(self, centers, labels):
+        return centers[labels]
+
+    def update(self, centers, labels, min_distances, rng):
+        k = self.est.n_clusters
+        new_centers = centers.copy()
+        counts = _group_mass(labels, self.weights, k, self.parallel)
+        # Per-column bincount reduction (grouped_row_sum) over the
+        # fit-hoisted weighted matrix: same row-order accumulation as the
+        # np.add.at scatter it replaces, an order of magnitude faster — and
+        # with pruning this update is the iteration floor.
+        sums = grouped_row_sum(labels, self.weighted_X, k, self.parallel)
+        non_empty = counts > 0
+        new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
+        # Empty clusters: re-seed on the points farthest from their
+        # centroid, the standard remedy (also KR-k-Means, Appendix B).
+        empty = np.flatnonzero(~non_empty)
+        if empty.size:
+            if min_distances is None:
+                # Pruned iterations skip exact per-point distances; the
+                # reseed rule ranks all of them, so fall back to the full
+                # computation the unpruned path runs — same call, same
+                # inputs, bit-identical reseed choice.
+                _, min_distances = self.assign(
+                    centers, self.X, self.x_squared_norms
                 )
-                new_centers = centers.copy()
-                counts = _group_mass(
-                    labels, weights, self.n_clusters, parallel
-                )
-                # Per-column bincount reduction (grouped_row_sum) over the
-                # fit-hoisted weighted matrix: same row-order accumulation as
-                # the np.add.at scatter it replaces, an order of magnitude
-                # faster — and with pruning this update is the iteration floor.
-                sums = grouped_row_sum(
-                    labels, weighted_X, self.n_clusters, parallel
-                )
-                non_empty = counts > 0
-                new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-                # Empty clusters: re-seed on the points farthest from their
-                # centroid, the standard remedy (also KR-k-Means, Appendix B).
-                empty = np.flatnonzero(~non_empty)
-                if empty.size:
-                    if min_distances is None:
-                        # Pruned iterations skip exact per-point distances;
-                        # the reseed rule ranks all of them, so fall back to
-                        # the full computation the unpruned path runs — same
-                        # call, same inputs, bit-identical reseed choice.
-                        _, min_distances = assign_to_nearest(
-                            X, centers, x_squared_norms=x_squared_norms,
-                            parallel=parallel,
-                        )
-                    farthest = (
-                        np.argsort(min_distances * weights)[::-1][: empty.size]
-                    )
-                    new_centers[empty] = X[farthest]
-                # float64 reduction for any working dtype (exact no-op at
-                # f64): the convergence test must not drown in f32
-                # accumulation noise.
-                shift = float(
-                    np.sum((new_centers - centers) ** 2, dtype=np.float64)
-                )
-                if bounds is not None and shift >= self.tol:
-                    drift = dense_drift(centers, new_centers)
-                    bounds.inflate(drift[labels], float(drift.max()))
-                centers = new_centers
-                completed = iterations
-                if self.callback is not None:
-                    self.callback(restart_index, iterations)
-                if shift < self.tol:
-                    converged = True
-                    break
-                # Snapshot only on continuing iterations: a resumed run
-                # always has at least the terminal iteration left to do.
-                self._write_checkpoint(
-                    restart_index, iterations, centers, labels, bounds,
-                    rng, fingerprint, best_state,
-                )
-        except KeyboardInterrupt:
-            interrupted = True
-        labels, min_distances = assign_to_nearest(
-            X, centers, x_squared_norms=x_squared_norms, parallel=parallel
-        )
-        inertia = float((min_distances * weights).sum(dtype=np.float64))
-        # An interrupted run is reported as interrupted, not as unconverged.
-        return (
-            centers, labels, inertia, completed, converged or interrupted,
-            interrupted,
-        )
+            farthest = np.argsort(min_distances * self.weights)[::-1][: empty.size]
+            new_centers[empty] = self.X[farthest]
+        return new_centers
+
+    def shift(self, old, new):
+        # float64 reduction for any working dtype (exact no-op at f64): the
+        # convergence test must not drown in f32 accumulation noise.
+        return float(np.sum((new - old) ** 2, dtype=np.float64))
+
+    def drift(self, old, new, labels):
+        drift = dense_drift(old, new)
+        return drift[labels], float(drift.max())
+
+    def model_arrays(self, centers, prefix):
+        return {f"{prefix}centers": centers}
+
+    def read_model(self, arrays, prefix, path):
+        return state_array(arrays, f"{prefix}centers", self.est.dtype_, path)

@@ -85,7 +85,6 @@ workloads.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -96,25 +95,13 @@ from .._validation import (
     check_cardinalities,
     check_dtype,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
-from ..exceptions import (
-    CheckpointError,
-    ConvergenceWarning,
-    NotFittedError,
-    ValidationError,
-)
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
-from ..runtime.executor import resolve_executor, run_restarts
+from ..exceptions import NotFittedError, ValidationError
+from ..runtime.checkpoint import resolve_checkpoint
+from ..runtime.executor import resolve_executor
 from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
@@ -122,18 +109,11 @@ from ..linalg import (
     num_combinations,
     resolve_working_dtype,
 )
-from ._bounds import (
-    HamerlyBounds,
-    check_pruning,
-    dense_drift,
-    drift_inflation_from_tables,
-    hamerly_step,
-)
+from ._bounds import check_pruning, dense_drift, drift_inflation_from_tables
 from ._distances import (
     _chunked_argmin,
     assign_to_nearest,
     merge_row_block_assignments,
-    paired_squared_distances,
     row_norms_squared,
     squared_distances,
 )
@@ -142,10 +122,41 @@ from ._factored import (
     assign_factored,
     resolve_assignment,
 )
+from ._lloyd import fit_restarts, state_array
 from ._update import UPDATE_MODES, resolve_update, update_protocentroids
 from .kmeans import _check_sample_weight, kmeans_plus_plus_init
 
 __all__ = ["KhatriRaoKMeans"]
+
+
+def _split_seeds(seeds, cardinalities, aggregator) -> List[np.ndarray]:
+    """Protocentroid sets from ``sum(h_q)`` seed points: each seed is
+    factored into ``p`` parts whose aggregation reproduces it, and set
+    ``q`` keeps the ``q``-th part of its own ``h_q`` seeds."""
+    p = len(cardinalities)
+    thetas = []
+    offset = 0
+    for q, h in enumerate(cardinalities):
+        block = np.empty((h, seeds.shape[1]), dtype=seeds.dtype)
+        for j in range(h):
+            block[j] = aggregator.split(seeds[offset + j], p)[q]
+        thetas.append(block)
+        offset += h
+    return thetas
+
+
+def _random_protocentroids(X, cardinalities, aggregator, rng) -> List[np.ndarray]:
+    """Random initialization (Algorithm 1, lines 3-4): sample data points
+    per set and factor each through the aggregator's exact split, so the
+    *initial centroids* (one protocentroid per set, aggregated) stay
+    inside the data range — raw points would start centroids at e.g.
+    ``x_i + x_j`` for the sum aggregator, far outside the hull
+    (Appendix B)."""
+    seeds = np.vstack([
+        X[rng.choice(X.shape[0], size=h, replace=X.shape[0] < h)]
+        for h in cardinalities
+    ])
+    return _split_seeds(seeds, cardinalities, aggregator)
 
 
 class KhatriRaoKMeans:
@@ -436,100 +447,15 @@ class KhatriRaoKMeans:
         )
         rng = check_random_state(self.random_state)
         with open_row_pool(self.n_threads) as pool:
-            return self._fit(X, weights, rng, pool)
-
-    def _fit(self, X, weights, rng, parallel) -> "KhatriRaoKMeans":
-        materialize = self._should_materialize(X)
-        # ‖x‖² is constant across iterations and restarts — pay for it once.
-        x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        if self.n_jobs is not None:
-            # Supervised parallel sweep: per-restart spawned streams, so
-            # the selected model is identical at every worker count.  The
-            # row pool is shared across restart workers (submit is
-            # thread-safe; block workers never re-enter the pool).
-            def run_one(gen, seed_index):
-                (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_converged, run_interrupted) = self._single_run(
-                    X, gen, materialize, weights, x_squared_norms,
-                    restart_index=seed_index,
-                    parallel=parallel,
-                )
-                if run_interrupted:
-                    # A callback-raised interrupt inside a worker: surface
-                    # it so the sweep reports interrupted (the executor
-                    # keeps every restart that already completed).
-                    raise KeyboardInterrupt
-                return run_inertia, (
-                    thetas, labels, set_labels, iters, fractions, run_converged,
-                )
-
-            report = run_restarts(run_one, self.n_init, rng, self.n_jobs)
-            if report.interrupted and not report.outcomes:
-                raise KeyboardInterrupt
-            # Warn here, on the calling thread, not on the executor thread
-            # that ran the restart.
-            for outcome in report.outcomes:
-                if not outcome.payload[-1]:
-                    self._warn_not_converged()
-            winner = report.best()
-            (self.protocentroids_, self.labels_, self.set_labels_,
-             self.n_iter_, self.reassignment_fractions_, _) = winner.payload
-            self.inertia_ = winner.inertia
-            self.converged_ = not report.interrupted
-            return self
-
-        best = (np.inf, None, None, None, 0, None)
-        start_restart = 0
-        resume_state = None
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
-            else None
-        )
-        if self.resume_from is not None:
-            start_restart, resume_state, best_resumed = self._load_checkpoint(
-                rng, fingerprint, materialize, x_squared_norms, X.shape[1]
+            best, interrupted = fit_restarts(
+                self, _KhatriRaoLloyd(self, X, weights, pool), rng
             )
-            if best_resumed is not None:
-                best = best_resumed
-        interrupted = False
-        for restart in range(start_restart, self.n_init):
-            best_state = None if best[1] is None else best
-            try:
-                (thetas, labels, set_labels, run_inertia, iters, fractions,
-                 run_converged, run_interrupted) = self._single_run(
-                    X, rng, materialize, weights, x_squared_norms,
-                    restart_index=restart,
-                    resume=resume_state,
-                    fingerprint=fingerprint,
-                    best_state=best_state,
-                    parallel=parallel,
-                )
-            except KeyboardInterrupt:
-                # Interrupted before this restart completed one iteration:
-                # keep the best earlier restart if there is one.
-                if best[1] is None:
-                    raise
-                interrupted = True
-                break
-            resume_state = None
-            if not run_converged:
-                self._warn_not_converged()
-            if run_inertia < best[0]:
-                best = (run_inertia, thetas, labels, set_labels, iters, fractions)
-            if run_interrupted:
-                interrupted = True
-                break
-
-        self.inertia_ = float(best[0])
-        self.protocentroids_ = best[1]
-        self.labels_ = best[2]
-        self.set_labels_ = best[3]
-        self.n_iter_ = best[4]
-        self.reassignment_fractions_ = best[5]
+        self.protocentroids_ = best.model
+        self.labels_ = best.labels
+        self.set_labels_ = self.set_assignments(best.labels)
+        self.inertia_ = float(best.inertia)
+        self.n_iter_ = best.n_iter
+        self.reassignment_fractions_ = best.fractions
         self.converged_ = not interrupted
         return self
 
@@ -541,11 +467,7 @@ class KhatriRaoKMeans:
         """Assign each row of ``X`` to its nearest reconstructed centroid."""
         self._check_fitted()
         X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        if X.shape[1] != self.protocentroids_[0].shape[1]:
-            raise ValidationError(
-                f"X has {X.shape[1]} features, model was fitted with "
-                f"{self.protocentroids_[0].shape[1]}"
-            )
+        check_n_features(X, self.protocentroids_[0].shape[1])
         with open_row_pool(self.n_threads) as pool:
             labels, _ = self._assign(
                 X, self.protocentroids_, self._should_materialize(X),
@@ -573,15 +495,6 @@ class KhatriRaoKMeans:
         return np.stack(decoded, axis=1)
 
     # ------------------------------------------------------------ internals
-    def _warn_not_converged(self) -> None:
-        # Called from _fit only: stacklevel 4 skips this method, _fit and
-        # fit, so the warning names the line that called fit().
-        warnings.warn(
-            f"KhatriRaoKMeans did not converge in {self.max_iter} iterations",
-            ConvergenceWarning,
-            stacklevel=4,
-        )
-
     def _check_fitted(self) -> None:
         if self.protocentroids_ is None:
             raise NotFittedError(
@@ -601,43 +514,15 @@ class KhatriRaoKMeans:
         self, X: np.ndarray, rng: np.random.Generator
     ) -> List[np.ndarray]:
         if self.init == "random":
-            # Sample data points per set, then factor each through the
-            # aggregator's exact split so the *initial centroids* (the
-            # aggregation of one protocentroid per set) stay inside the data
-            # range: raw points would start centroids at e.g. x_i + x_j for
-            # the sum aggregator, far outside the hull (Appendix B).
-            p = len(self.cardinalities)
-            thetas = []
-            for q, h in enumerate(self.cardinalities):
-                samples = X[rng.choice(X.shape[0], size=h, replace=X.shape[0] < h)]
-                block = np.empty((h, X.shape[1]), dtype=X.dtype)
-                for j in range(h):
-                    block[j] = self.aggregator.split(samples[j], p)[q]
-                thetas.append(block)
-            return thetas
-        return self._init_plus_plus(X, rng)
-
-    def _init_plus_plus(self, X: np.ndarray, rng: np.random.Generator) -> List[np.ndarray]:
-        # Sample sum(h_q) far-apart data points with k-means++ D²-sampling,
-        # then factor each sampled point x into p parts whose aggregation
-        # reproduces x; set q keeps the q-th part of its own samples
+            return _random_protocentroids(X, self.cardinalities, self.aggregator, rng)
+        # Sample sum(h_q) far-apart data points with k-means++ D²-sampling
         # (Section 6, "Initialization").
-        p = len(self.cardinalities)
         total = sum(self.cardinalities)
         seeds = kmeans_plus_plus_init(X, min(total, X.shape[0]), rng)
         if seeds.shape[0] < total:
             extra = X[rng.choice(X.shape[0], size=total - seeds.shape[0])]
             seeds = np.vstack([seeds, extra])
-        thetas = []
-        offset = 0
-        for q, h in enumerate(self.cardinalities):
-            block = np.empty((h, X.shape[1]), dtype=X.dtype)
-            for j in range(h):
-                parts = self.aggregator.split(seeds[offset + j], p)
-                block[j] = parts[q]
-            thetas.append(block)
-            offset += h
-        return thetas
+        return _split_seeds(seeds, self.cardinalities, self.aggregator)
 
     # -- assignment ---------------------------------------------------------
     def _assign(
@@ -718,56 +603,6 @@ class KhatriRaoKMeans:
         parts = [theta[set_labels[:, q]] for q, theta in enumerate(thetas)]
         return self.aggregator.combine(parts)
 
-    def _assign_iteration(
-        self,
-        X: np.ndarray,
-        thetas: List[np.ndarray],
-        materialize: bool,
-        x_squared_norms: np.ndarray,
-        labels: np.ndarray,
-        set_labels: Optional[np.ndarray],
-        bounds: HamerlyBounds,
-        parallel=None,
-    ) -> Tuple[np.ndarray, float]:
-        """One Lloyd assignment pass under Hamerly bounds.
-
-        Points whose bounds certify a strictly-nearest assigned centroid
-        keep their label untouched; the remainder are first tightened
-        (exact distance to the assigned centroid only) and the survivors
-        re-scored against all ``∏ h_q`` centroids through the regular
-        factored/materialized kernels — so the pruned path reproduces the
-        unpruned argmin exactly wherever it actually recomputes.  Returns
-        the labels and the fraction of points fully re-scored.
-
-        Both sweeps run over row blocks of ``parallel``: the tightening
-        gather over the active set splits on fixed blocks of ``idx`` (each
-        active point's distance is independent, so concatenation is exact),
-        and the rescore routes through the row-blocked assignment kernels.
-        """
-        def exact_squared(idx):
-            return np.concatenate(map_row_blocks(
-                parallel,
-                lambda start, stop: paired_squared_distances(
-                    X[idx[start:stop]],
-                    self._combine_rows(thetas, set_labels[idx[start:stop]]),
-                ),
-                idx.size,
-            ))
-
-        def rescore(idx):
-            if idx is None:
-                return self._assign(
-                    X, thetas, materialize, x_squared_norms,
-                    return_second=True, parallel=parallel,
-                )
-            return self._assign(
-                X[idx], thetas, materialize, x_squared_norms[idx],
-                return_second=True, parallel=parallel,
-            )
-
-        labels, fraction, _ = hamerly_step(bounds, labels, exact_squared, rescore)
-        return labels, fraction
-
     def _materialize_chunk(
         self, thetas: List[np.ndarray], start: int, stop: int
     ) -> np.ndarray:
@@ -822,308 +657,101 @@ class KhatriRaoKMeans:
             "dtype": np.dtype(self.dtype_).name,
         }
 
-    def _write_checkpoint(
-        self, restart, iteration, thetas, labels, bounds, fractions,
-        rng, fingerprint, best_state,
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(iteration):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "restart": restart,
-            "iteration": iteration,
-            "rng_state": serialize_rng_state(rng),
-            "bounds_initialized": (
-                None if bounds is None else bool(bounds.initialized)
-            ),
-            "has_best": best_state is not None,
-            "best_inertia": (
-                None if best_state is None else float(best_state[0])
-            ),
-            "best_iterations": (
-                0 if best_state is None else int(best_state[4])
-            ),
-        }
-        arrays = {"labels": labels}
-        for q, theta in enumerate(thetas):
-            arrays[f"theta_{q}"] = theta
-        if bounds is not None:
-            arrays["bounds_upper"] = bounds.upper
-            arrays["bounds_lower"] = bounds.lower
-            arrays["fractions"] = np.asarray(fractions, dtype=np.float64)
-        if best_state is not None:
-            for q, theta in enumerate(best_state[1]):
-                arrays[f"best_theta_{q}"] = theta
-            arrays["best_labels"] = best_state[2]
-            if best_state[5] is not None:
-                arrays["best_fractions"] = np.asarray(
-                    best_state[5], dtype=np.float64
-                )
-        write_checkpoint(self.checkpoint.path, header, arrays)
 
-    def _load_checkpoint(
-        self, rng, fingerprint, materialize, x_squared_norms, n_features
-    ):
-        """Verify and unpack ``resume_from``; restores ``rng`` in place.
+class _KhatriRaoLloyd:
+    """``KhatriRaoKMeans`` as an adapter of the Lloyd engine
+    (:mod:`._lloyd`)."""
 
-        Returns ``(restart_index, resume_state, best_tuple_or_None)``
-        where ``resume_state`` re-enters :meth:`_single_run` at the
-        checkpointed iteration's successor.
-        """
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
-        )
-        restore_rng_state(rng, header["rng_state"])
+    logs_fractions = True
 
-        def _thetas(prefix):
-            out = []
-            for q in range(len(self.cardinalities)):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{self.resume_from} is missing protocentroid set "
-                        f"{key!r}", field=key,
-                    )
-                out.append(np.ascontiguousarray(arrays[key], dtype=self.dtype_))
-            return out
+    def __init__(self, est, X, weights, parallel):
+        self.est, self.X, self.weights, self.parallel = est, X, weights, parallel
+        self.materialize = est._should_materialize(X)
+        self.prunes = est._uses_pruning(self.materialize)
+        # ‖x‖² is constant across iterations and restarts — pay for it once.
+        self.x_squared_norms = row_norms_squared(X, parallel=parallel)
 
-        thetas = _thetas("theta_")
-        labels = np.ascontiguousarray(arrays["labels"], dtype=np.int64)
-        set_labels = self.set_assignments(labels)
-        bounds = None
-        fractions: Optional[List[float]] = None
-        if self._uses_pruning(materialize):
-            if "bounds_upper" not in arrays:
-                raise CheckpointError(
-                    f"{self.resume_from} carries no pruning bounds but the "
-                    "resuming estimator prunes", field="bounds_upper",
-                )
-            # The dtype-margin scalars are deterministic functions of the
-            # constructor inputs, so only the per-point arrays and the
-            # initialized flag need the round trip.
-            bounds = HamerlyBounds(x_squared_norms, n_features)
-            bounds.upper = np.ascontiguousarray(
-                arrays["bounds_upper"], dtype=np.float64
-            )
-            bounds.lower = np.ascontiguousarray(
-                arrays["bounds_lower"], dtype=np.float64
-            )
-            bounds.initialized = bool(header["bounds_initialized"])
-            fractions = [float(f) for f in arrays["fractions"]]
-        resume_state = (
-            thetas, labels, set_labels, bounds, fractions,
-            int(header["iteration"]) + 1,
-        )
-        best = None
-        if header.get("has_best"):
-            best_labels = np.ascontiguousarray(
-                arrays["best_labels"], dtype=np.int64
-            )
-            best_fractions = (
-                [float(f) for f in arrays["best_fractions"]]
-                if "best_fractions" in arrays else None
-            )
-            best = (
-                float(header["best_inertia"]),
-                _thetas("best_theta_"),
-                best_labels,
-                self.set_assignments(best_labels),
-                int(header["best_iterations"]),
-                best_fractions,
-            )
-        return int(header["restart"]), resume_state, best
+    def init(self, rng):
+        return self.est._init_protocentroids(self.X, rng)
 
-    # -- main loop -----------------------------------------------------------
-    def _single_run(
-        self,
-        X: np.ndarray,
-        rng: np.random.Generator,
-        materialize: bool,
-        weights: Optional[np.ndarray],
-        x_squared_norms: np.ndarray,
-        restart_index: int = 0,
-        resume=None,
-        fingerprint=None,
-        best_state=None,
-        parallel=None,
-    ):
-        factored = self.uses_factored_assignment
-        if resume is None:
-            thetas = self._init_protocentroids(X, rng)
-            bounds = (
-                HamerlyBounds(x_squared_norms, X.shape[1])
-                if self._uses_pruning(materialize) else None
-            )
-            fractions: Optional[List[float]] = [] if bounds is not None else None
-            labels = np.zeros(X.shape[0], dtype=np.int64)
-            set_labels: Optional[np.ndarray] = None
-            start = 1
-        else:
-            thetas, labels, set_labels, bounds, fractions, start = resume
-        # Shift tracking: the factored closed form and the chunked memory
-        # comparison diff protocentroids directly, so both seed the cached
-        # previous copies from the current protocentroids; the materialized
-        # comparison seeds old_centroids instead.  All three therefore
-        # measure a real shift on the next iteration and converge
-        # identically.  (On resume this reconstruction is exact: at the end
-        # of every completed iteration the caches equal the current
-        # protocentroids / their combination, which is what the checkpoint
-        # stores.)
-        if not factored and materialize:
-            previous_thetas = None
-            old_centroids = khatri_rao_combine(thetas, self.aggregator)
-        else:
-            previous_thetas = [theta.copy() for theta in thetas]
-            old_centroids = None
-        interrupted = False
-        converged = False
-        # `completed` advances only once an iteration's protocentroid
-        # update has landed, so the KeyboardInterrupt handler always
-        # reports a consistent last-completed count.
-        completed = start - 1
-        try:
-            for iterations in range(start, self.max_iter + 1):
-                if bounds is None:
-                    labels, _ = self._assign(
-                        X, thetas, materialize, x_squared_norms,
-                        parallel=parallel,
-                    )
-                else:
-                    labels, fraction = self._assign_iteration(
-                        X, thetas, materialize, x_squared_norms, labels,
-                        set_labels, bounds, parallel=parallel,
-                    )
-                    fractions.append(fraction)
-                set_labels = self.set_assignments(labels)
-                thetas = self._update_protocentroids(
-                    X, thetas, set_labels, rng, weights, parallel=parallel
-                )
-                shift, old_centroids, drift = self._centroid_shift(
-                    thetas, previous_thetas, old_centroids, materialize,
-                    want_drift=bounds is not None,
-                )
-                completed = iterations
-                if self.callback is not None:
-                    self.callback(restart_index, iterations)
-                if shift < self.tol:
-                    converged = True
-                    break
-                if bounds is not None:
-                    # Triangle-inequality inflation: the assigned centroid's
-                    # drift bound raises each upper bound, the grid-wide
-                    # maximum lowers every second-nearest bound.
-                    if drift[0] == "tables":
-                        assigned_drift, max_drift = drift_inflation_from_tables(
-                            drift[1], set_labels
-                        )
-                    else:
-                        assigned_drift = drift[1][labels]
-                        max_drift = float(drift[1].max())
-                    bounds.inflate(assigned_drift, max_drift)
-                # Snapshot only on continuing iterations: a resumed run
-                # always has at least the terminal iteration left to do.
-                self._write_checkpoint(
-                    restart_index, iterations, thetas, labels, bounds,
-                    fractions, rng, fingerprint, best_state,
-                )
-        except KeyboardInterrupt:
-            interrupted = True
-        labels, min_distances = self._assign(
-            X, thetas, materialize, x_squared_norms, parallel=parallel
-        )
-        set_labels = self.set_assignments(labels)
-        # float64 reduction for any working dtype (exact no-op at f64).
-        weighted_inertia = float(
-            min_distances.sum(dtype=np.float64) if weights is None
-            else (min_distances * weights).sum(dtype=np.float64)
-        )
-        # An interrupted run is reported as interrupted, not as unconverged.
-        return (
-            thetas, labels, set_labels, weighted_inertia, completed,
-            fractions, converged or interrupted, interrupted,
+    def assign(self, thetas, X, x_squared_norms, return_second=False):
+        return self.est._assign(
+            X, thetas, self.materialize, x_squared_norms,
+            return_second=return_second, parallel=self.parallel,
         )
 
-    def _store_previous_thetas(
-        self, previous_thetas: List[np.ndarray], thetas: List[np.ndarray]
-    ) -> None:
-        # Reuse the cached buffers (np.copyto) instead of reallocating copies
-        # of every protocentroid array each iteration.
-        for previous, current in zip(previous_thetas, thetas):
-            np.copyto(previous, current)
+    def decode(self, labels):
+        return self.est.set_assignments(labels)
 
-    def _centroid_shift(
-        self,
-        thetas: List[np.ndarray],
-        previous_thetas: Optional[List[np.ndarray]],
-        old_centroids: Optional[np.ndarray],
-        materialize: bool,
-        want_drift: bool = False,
-    ) -> Tuple[float, Optional[np.ndarray], Optional[tuple]]:
-        """Total squared centroid movement (Algorithm 1, line 20).
+    def assigned_rows(self, thetas, set_labels):
+        return self.est._combine_rows(thetas, set_labels)
 
-        Returns ``(shift, new_centroids, drift)``; ``new_centroids`` is the
-        freshly materialized grid when the materialized comparison produced
-        one (so the caller can reuse it instead of combining again), else
-        ``None``.  With ``want_drift`` the third element carries per-centroid
-        movement bounds for Hamerly inflation: ``("tables", [d_q])`` —
-        per-set norm tables from the aggregator's ``factored_drift`` hook,
-        ``Σ h_q`` numbers covering the whole grid — for decomposable
-        aggregators, or ``("dense", δ)`` with the exact ``(k,)`` movement
-        vector otherwise.
-        """
-        drift: Optional[tuple] = None
-        if self.uses_factored_assignment:
+    def update(self, thetas, set_labels, min_distances, rng):
+        return self.est._update_protocentroids(
+            self.X, thetas, set_labels, rng, self.weights,
+            parallel=self.parallel,
+        )
+
+    def _chunk_pairs(self, old, new):
+        """Old and new centroid chunks of the memory-mode sweep: the grid
+        is compared ``chunk_size`` centroids at a time, never whole."""
+        est = self.est
+        k = est.n_clusters
+        for start in range(0, k, est.chunk_size):
+            stop = min(start + est.chunk_size, k)
+            yield (start, stop, est._materialize_chunk(old, start, stop),
+                   est._materialize_chunk(new, start, stop))
+
+    def shift(self, old, new):
+        """Total squared centroid movement (Algorithm 1, line 20)."""
+        agg = self.est.aggregator
+        if self.est.uses_factored_assignment:
             # Closed form for decomposable aggregators — O(m·Σh_q + p²·m),
             # no centroid grid in either time or memory mode.
-            shift = self.aggregator.factored_shift(previous_thetas, thetas)
-            if want_drift:
-                drift = (
-                    "tables",
-                    self.aggregator.factored_drift(previous_thetas, thetas),
-                )
-            self._store_previous_thetas(previous_thetas, thetas)
-            return shift, None, drift
-        if materialize and old_centroids is not None:
-            new_centroids = khatri_rao_combine(thetas, self.aggregator)
-            if want_drift:
-                drift = ("dense", dense_drift(old_centroids, new_centroids))
-            shift = float(np.sum(
-                (new_centroids - old_centroids) ** 2, dtype=np.float64
+            return agg.factored_shift(old, new)
+        if self.materialize:
+            return float(np.sum(
+                (khatri_rao_combine(new, agg) - khatri_rao_combine(old, agg)) ** 2,
+                dtype=np.float64,
             ))
-            return shift, new_centroids, drift
-        # Memory mode: measure movement chunk by chunk against the cached
-        # previous protocentroids (seeded by _single_run) to avoid
-        # materializing all centroids.  Decomposable aggregators get their
-        # drift bounds from the Σh_q factored tables even here (the
-        # assignment knob may have forced the materialized comparison); the
-        # dense (k,) fallback below is what pruning="auto" refuses to
-        # allocate in this mode (pruning="bounds" opts in explicitly).
-        want_dense = want_drift and not self.aggregator.supports_factored_assignment
-        if want_drift and not want_dense:
-            drift = (
-                "tables",
-                self.aggregator.factored_drift(previous_thetas, thetas),
-            )
         shift = 0.0
-        k = self.n_clusters
-        drift_vector = np.empty(k) if want_dense else None
-        for start in range(0, k, self.chunk_size):
-            stop = min(start + self.chunk_size, k)
-            new_chunk = self._materialize_chunk(thetas, start, stop)
-            old_chunk = self._materialize_chunk(previous_thetas, start, stop)
-            if want_dense:
-                drift_vector[start:stop] = dense_drift(old_chunk, new_chunk)
+        for _, _, old_chunk, new_chunk in self._chunk_pairs(old, new):
             shift += float(np.sum((new_chunk - old_chunk) ** 2, dtype=np.float64))
-        if want_dense:
-            drift = ("dense", drift_vector)
-        self._store_previous_thetas(previous_thetas, thetas)
-        return shift, None, drift
+        return shift
+
+    def drift(self, old, new, set_labels):
+        """Per-centroid movement bounds for Hamerly inflation.
+
+        Decomposable aggregators bound all ``∏ h_q`` centroids through the
+        per-set ``factored_drift`` norm tables (``Σ h_q`` numbers) — also
+        in memory mode when the assignment knob forced the materialized
+        kernel.  Otherwise the exact dense ``(k,)`` movement vector: from
+        the combined grids in time mode, chunk by chunk in memory mode
+        (what ``pruning="auto"`` refuses to allocate there).
+        """
+        agg = self.est.aggregator
+        if self.est.uses_factored_assignment or (
+            not self.materialize and agg.supports_factored_assignment
+        ):
+            return drift_inflation_from_tables(
+                agg.factored_drift(old, new), set_labels
+            )
+        if self.materialize:
+            drift = dense_drift(
+                khatri_rao_combine(old, agg), khatri_rao_combine(new, agg)
+            )
+        else:
+            drift = np.empty(self.est.n_clusters)
+            for start, stop, old_chunk, new_chunk in self._chunk_pairs(old, new):
+                drift[start:stop] = dense_drift(old_chunk, new_chunk)
+        assigned = drift.reshape(self.est.cardinalities)[tuple(set_labels.T)]
+        return assigned, float(drift.max())
+
+    def model_arrays(self, thetas, prefix):
+        return {f"{prefix}theta_{q}": theta for q, theta in enumerate(thetas)}
+
+    def read_model(self, arrays, prefix, path):
+        return [
+            state_array(arrays, f"{prefix}theta_{q}", self.est.dtype_, path)
+            for q in range(len(self.est.cardinalities))
+        ]

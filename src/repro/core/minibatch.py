@@ -50,19 +50,12 @@ from .._validation import (
     check_cardinalities,
     check_dtype,
     check_in,
+    check_n_features,
     check_positive_int,
     check_random_state,
 )
 from ..exceptions import CheckpointError, NotFittedError, ValidationError
-from ..runtime.checkpoint import (
-    check_header_fields,
-    data_fingerprint,
-    read_checkpoint,
-    resolve_checkpoint,
-    restore_rng_state,
-    serialize_rng_state,
-    write_checkpoint,
-)
+from ..runtime.checkpoint import resolve_checkpoint
 from ..runtime.parallel import open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
@@ -77,16 +70,10 @@ from ._factored import (
     assign_factored,
     resolve_assignment,
 )
-from ._update import (
-    UPDATE_MODES,
-    _gather_sums,
-    _group_mass,
-    _weighted_grouped_row_sum,
-    factored_sum_numerator,
-    pair_count_tables,
-    resolve_update,
-)
+from ._lloyd import fingerprint, iterate, read_state, state_array, write_state
+from ._update import UPDATE_MODES, resolve_update, set_statistics
 from .kmeans import _check_sample_weight
+from .kr_kmeans import _random_protocentroids
 
 __all__ = ["BatchStats", "MiniBatchKhatriRaoKMeans"]
 
@@ -362,27 +349,29 @@ class MiniBatchKhatriRaoKMeans:
         rng = check_random_state(self.random_state)
         # A fresh training run owns its own bounds over X's positional
         # indices; any point-identity stream state from earlier
-        # partial_fit calls names a different universe.
+        # partial_fit calls names a different universe — and its step
+        # count restarts from 0, like a fresh fit's.
         self._stream_state = None
         self.last_batch_stats_ = None
+        self.n_steps_ = 0
         with open_row_pool(self.n_threads) as pool:
             return self._fit(X, weights, rng, pool)
 
     def _fit(self, X, weights, rng, parallel) -> "MiniBatchKhatriRaoKMeans":
         x_squared_norms = row_norms_squared(X, parallel=parallel)
-        # The full-pass sha256 fingerprint only feeds checkpoint headers;
-        # plain fits (and streamed memmap fits) skip it entirely.
-        fingerprint = (
-            data_fingerprint(X, weights)
-            if self.checkpoint is not None or self.resume_from is not None
-            else None
-        )
-        smoothed_shift = np.inf
-        start = 1
+        fp = fingerprint(self, X, weights)
+        smoothed_shift, start = np.inf, 1
         if self.resume_from is not None:
-            state, smoothed_shift, start = self._load_checkpoint(
-                rng, fingerprint, x_squared_norms, X.shape[1]
+            header, arrays = read_state(self, self.resume_from, rng, data=fp)
+            state = self._read_stream(
+                header, arrays, self.resume_from, x_squared_norms
             )
+            if self.uses_pruning and state is None:
+                raise CheckpointError(
+                    f"{self.resume_from} carries no streaming bounds but the "
+                    "resuming estimator prunes", field="sb_known",
+                )
+            smoothed_shift, start = float(header["smoothed_shift"]), self.n_steps_ + 1
         else:
             self._initialize(X, rng)
             state = (
@@ -390,52 +379,50 @@ class MiniBatchKhatriRaoKMeans:
                 if self.uses_pruning else None
             )
             self.reassignment_fractions_ = [] if state is not None else None
-        interrupted = False
-        try:
-            for step in range(start, self.max_steps + 1):
-                indices = rng.choice(
-                    X.shape[0], size=min(self.batch_size, X.shape[0]),
-                    replace=False,
+
+        def step():
+            nonlocal smoothed_shift
+            indices = rng.choice(
+                X.shape[0], size=min(self.batch_size, X.shape[0]),
+                replace=False,
+            )
+            batch = X[indices]
+            # Fancy-indexed batches (and weights) are gathered copies, so a
+            # memory-mapped X is touched batch_size rows per step.
+            wb = None if weights is None else weights[indices]
+            if state is None:
+                shift = self.partial_fit_batch(
+                    batch, rng, sample_weight=wb, parallel=parallel
                 )
-                batch = X[indices]
-                # Fancy-indexed batches (and weights) are gathered copies,
-                # so a memory-mapped X is touched batch_size rows per step.
-                wb = None if weights is None else weights[indices]
-                if state is None:
-                    shift = self.partial_fit_batch(
-                        batch, rng, sample_weight=wb, parallel=parallel
-                    )
-                else:
-                    labels, fraction = self._pruned_batch_labels(
-                        batch, indices, state, parallel
-                    )
-                    shift = self._finish_step(
-                        batch, labels, fraction, wb, parallel, state
-                    )
-                smoothed_shift = shift if not np.isfinite(smoothed_shift) else (
-                    0.7 * smoothed_shift + 0.3 * shift
+            else:
+                labels, fraction = self._pruned_batch_labels(
+                    batch, indices, state, parallel
                 )
-                self.n_steps_ = step
-                if self.callback is not None:
-                    self.callback(0, step)
-                if smoothed_shift < self.reassignment_tol:
-                    break
-                # Snapshot only on continuing steps: a resumed run always
-                # has at least the terminal step left to do.
-                self._write_checkpoint(
-                    step, state, smoothed_shift, rng, fingerprint
+                shift = self._finish_step(
+                    batch, labels, fraction, wb, parallel, state
                 )
-        except KeyboardInterrupt:
-            # Keep the last-completed-step model; protocentroids/counts
-            # advance in place per step, so whatever landed is consistent
-            # enough to finalize (mid-step interrupts leave a partially
-            # updated sweep — still a valid model to score).
-            interrupted = True
-        self.labels_, distances = self._assign(X, parallel=parallel)
-        # float64 reduction for any working dtype (exact no-op at f64).
-        self.inertia_ = float(
-            distances.sum(dtype=np.float64) if weights is None
-            else (distances * weights).sum(dtype=np.float64)
+            smoothed_shift = shift if not np.isfinite(smoothed_shift) else (
+                0.7 * smoothed_shift + 0.3 * shift
+            )
+            self.n_steps_ += 1
+            return smoothed_shift
+
+        def save(step):
+            write_state(self, self.checkpoint.path, {
+                "data": fp,
+                "step": step,
+                "smoothed_shift": float(smoothed_shift),
+                "has_bounds": state is not None,
+                "cum_max": None if state is None else float(state.cum_max),
+            }, self._stream_arrays(state), rng)
+
+        # An interrupt keeps the last-completed-step model: protocentroids
+        # and counts advance in place per step (a mid-step interrupt leaves
+        # a partially updated sweep — still a valid model to score).
+        self.labels_, self.inertia_, _, _, interrupted = iterate(
+            step, lambda: self._assign(X, parallel=parallel), weights,
+            start=start, max_iter=self.max_steps, tol=self.reassignment_tol,
+            callback=self.callback, checkpoint=self.checkpoint, save=save,
         )
         self.converged_ = not interrupted
         return self
@@ -473,6 +460,7 @@ class MiniBatchKhatriRaoKMeans:
         rng = check_random_state(self.random_state)
         if self.protocentroids_ is None:
             self._initialize(batch, rng)
+        check_n_features(batch, self.protocentroids_[0].shape[1])
         with open_row_pool(self.n_threads) as pool:
             if index is not None and self.uses_pruning:
                 self._indexed_partial_fit_batch(batch, index, weights, pool)
@@ -506,32 +494,30 @@ class MiniBatchKhatriRaoKMeans:
 
     def predict(self, X) -> np.ndarray:
         """Assign rows of ``X`` to their nearest reconstructed centroid."""
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
-            )
+        self._check_fitted()
         X = check_array(X, dtype=self.protocentroids_[0].dtype)
+        check_n_features(X, self.protocentroids_[0].shape[1])
         with open_row_pool(self.n_threads) as pool:
             labels, _ = self._assign(X, parallel=pool)
         return labels
 
     def centroids(self) -> np.ndarray:
         """Materialize the centroid matrix from the protocentroids."""
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
-            )
+        self._check_fitted()
         return khatri_rao_combine(self.protocentroids_, self.aggregator)
 
     def parameter_count(self) -> int:
         """Scalars stored by the summary: ``(∑ h_q) · m``."""
+        self._check_fitted()
+        return int(sum(theta.size for theta in self.protocentroids_))
+
+    # ------------------------------------------------------------ internals
+    def _check_fitted(self) -> None:
         if self.protocentroids_ is None:
             raise NotFittedError(
                 "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
             )
-        return int(sum(theta.size for theta in self.protocentroids_))
 
-    # ------------------------------------------------------------ internals
     def _assign(self, X: np.ndarray, return_second: bool = False, parallel=None):
         if self.uses_factored_assignment:
             return assign_factored(
@@ -544,15 +530,9 @@ class MiniBatchKhatriRaoKMeans:
         )
 
     def _initialize(self, X: np.ndarray, rng: np.random.Generator) -> None:
-        p = len(self.cardinalities)
-        thetas = []
-        for q, h in enumerate(self.cardinalities):
-            samples = X[rng.choice(X.shape[0], size=h, replace=X.shape[0] < h)]
-            block = np.empty((h, X.shape[1]), dtype=X.dtype)
-            for j in range(h):
-                block[j] = self.aggregator.split(samples[j], p)[q]
-            thetas.append(block)
-        self.protocentroids_ = thetas
+        self.protocentroids_ = _random_protocentroids(
+            X, self.cardinalities, self.aggregator, rng
+        )
         # Learning-rate bookkeeping stays float64 at any working dtype: the
         # counts only feed the scalar schedule eta = batch/total.
         self._counts = [np.zeros(h) for h in self.cardinalities]
@@ -572,102 +552,68 @@ class MiniBatchKhatriRaoKMeans:
             "dtype": np.dtype(self.dtype_).name,
         }
 
-    def _write_checkpoint(
-        self, step, state, smoothed_shift, rng, fingerprint
-    ) -> None:
-        if self.checkpoint is None or not self.checkpoint.due(step):
-            return
-        header = {
-            "estimator": type(self).__name__,
-            "params": self._param_header(),
-            "data": fingerprint,
-            "step": step,
-            "smoothed_shift": float(smoothed_shift),
-            "rng_state": serialize_rng_state(rng),
-            "has_bounds": state is not None,
-            "cum_max": None if state is None else float(state.cum_max),
-        }
-        arrays = {}
-        for q, theta in enumerate(self.protocentroids_):
-            arrays[f"theta_{q}"] = theta
-        for q, counts in enumerate(self._counts):
-            arrays[f"counts_{q}"] = counts
-        if state is not None:
-            arrays["sb_known"] = state.known
-            arrays["sb_labels"] = state.labels
-            arrays["sb_upper"] = state.upper
-            arrays["sb_lower"] = state.lower
-            arrays["sb_u_anchor"] = state.u_anchor
-            arrays["sb_m_anchor"] = state.m_anchor
-            for q, cum in enumerate(state.cum):
-                arrays[f"sb_cum_{q}"] = cum
+    def _stream_arrays(self, state: Optional[StreamingBounds]) -> dict:
+        """The state arrays of :meth:`fit` checkpoints and :meth:`save_stream`
+        snapshots alike: ``theta_*``, ``counts_*``, ``fractions`` and the
+        streaming bounds ``sb_*`` (trimmed to the points seen)."""
+        arrays = {f"theta_{q}": t for q, t in enumerate(self.protocentroids_)}
+        arrays.update({f"counts_{q}": c for q, c in enumerate(self._counts)})
+        if self.reassignment_fractions_ is not None:
             arrays["fractions"] = np.asarray(
                 self.reassignment_fractions_, dtype=np.float64
             )
-        write_checkpoint(self.checkpoint.path, header, arrays)
+        if state is not None:
+            for name, value in state.state_arrays().items():
+                arrays[f"sb_{name}"] = value
+            for q, cum in enumerate(state.cum):
+                arrays[f"sb_cum_{q}"] = cum
+        return arrays
 
-    def _load_checkpoint(self, rng, fingerprint, x_squared_norms, n_features):
-        """Verify and unpack ``resume_from``; restores the streaming state
-        (protocentroids, counts, bounds, fractions, RNG) in place.
+    def _read_stream(
+        self, header, arrays, path, x_squared_norms=None
+    ) -> Optional[StreamingBounds]:
+        """Restore what :meth:`_stream_arrays` wrote (plus the step count);
+        returns the streaming bounds, or ``None`` when none were saved.
 
-        Returns ``(state, smoothed_shift, start_step)``.
+        ``x_squared_norms`` rebuilds :meth:`fit`'s bounds over the training
+        rows; without it the bounds are a point-identity stream's.
         """
-        header, arrays = read_checkpoint(self.resume_from)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "params": self._param_header(),
-                "data": fingerprint,
-            },
-            path=self.resume_from,
+        p = len(self.cardinalities)
+        self.protocentroids_ = [
+            state_array(arrays, f"theta_{q}", self.dtype_, path) for q in range(p)
+        ]
+        self._counts = [
+            state_array(arrays, f"counts_{q}", np.float64, path) for q in range(p)
+        ]
+        self.n_steps_ = int(header["step"])
+        self.reassignment_fractions_ = (
+            [float(f) for f in arrays["fractions"]] if "fractions" in arrays
+            else None
         )
-        restore_rng_state(rng, header["rng_state"])
-        thetas = []
-        counts = []
-        for q in range(len(self.cardinalities)):
-            for prefix, into, dtype in (
-                ("theta_", thetas, self.dtype_), ("counts_", counts, np.float64),
-            ):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{self.resume_from} is missing state array {key!r}",
-                        field=key,
-                    )
-                into.append(np.ascontiguousarray(arrays[key], dtype=dtype))
-        self.protocentroids_ = thetas
-        self._counts = counts
-        state = None
-        self.reassignment_fractions_ = None
-        if self.uses_pruning:
-            if not header.get("has_bounds"):
-                raise CheckpointError(
-                    f"{self.resume_from} carries no streaming bounds but the "
-                    "resuming estimator prunes", field="sb_known",
-                )
-            state = StreamingBounds(
-                x_squared_norms, n_features, self.cardinalities
+        if not header.get("has_bounds"):
+            return None
+        n_features = self.protocentroids_[0].shape[1]
+        if x_squared_norms is None:
+            state = StreamingBounds.for_stream(
+                n_features, self.cardinalities, seed_dtype=self.dtype_
             )
-            state.known = np.ascontiguousarray(arrays["sb_known"], dtype=bool)
-            state.labels = np.ascontiguousarray(
-                arrays["sb_labels"], dtype=np.int64
-            )
-            for name in ("upper", "lower", "u_anchor", "m_anchor"):
-                setattr(state, name, np.ascontiguousarray(
-                    arrays[f"sb_{name}"], dtype=np.float64
-                ))
-            state.cum = [
-                np.ascontiguousarray(arrays[f"sb_cum_{q}"], dtype=np.float64)
-                for q in range(len(self.cardinalities))
-            ]
-            state.cum_max = float(header["cum_max"])
-            self.reassignment_fractions_ = [
-                float(f) for f in arrays["fractions"]
-            ]
-        step = int(header["step"])
-        self.n_steps_ = step
-        return state, float(header["smoothed_shift"]), step + 1
+        else:
+            state = StreamingBounds(x_squared_norms, n_features, self.cardinalities)
+        n = state_array(arrays, "sb_known", bool, path).shape[0]
+        state._grow_to(n)
+        state.size = n
+        names = ["known", "labels", "upper", "lower", "u_anchor", "m_anchor"]
+        if state.dynamic:
+            names += ["norms", "margin_base"]
+        for name in names:
+            dtype = {"known": bool, "labels": np.int64}.get(name, np.float64)
+            attr = "_margin_base" if name == "margin_base" else name
+            getattr(state, attr)[:n] = state_array(arrays, f"sb_{name}", dtype, path)
+        state.cum = [
+            state_array(arrays, f"sb_cum_{q}", np.float64, path) for q in range(p)
+        ]
+        state.cum_max = float(header["cum_max"])
+        return state
 
     # ------------------------------------------------- stream checkpointing
     def save_stream(self, path, extra_header: Optional[dict] = None):
@@ -689,43 +635,27 @@ class MiniBatchKhatriRaoKMeans:
             )
         state = self._stream_state
         stats = self.last_batch_stats_
-        header = {
-            "estimator": type(self).__name__,
+        fields = {
             "kind": "stream",
-            "params": self._param_header(),
             "step": self.n_steps_,
             "has_fractions": self.reassignment_fractions_ is not None,
             "has_bounds": state is not None,
             "cum_max": None if state is None else float(state.cum_max),
             "stats": None if stats is None else stats.to_dict(),
         }
-        if extra_header:
-            for key in extra_header:
-                if key in header:
-                    raise ValidationError(
-                        f"extra_header key {key!r} collides with the "
-                        "stream checkpoint schema"
-                    )
-            header.update(extra_header)
-        arrays = {}
-        for q, theta in enumerate(self.protocentroids_):
-            arrays[f"theta_{q}"] = theta
-        for q, counts in enumerate(self._counts):
-            arrays[f"counts_{q}"] = counts
-        if self.reassignment_fractions_ is not None:
-            arrays["fractions"] = np.asarray(
-                self.reassignment_fractions_, dtype=np.float64
-            )
-        if state is not None:
-            for name, value in state.state_arrays().items():
-                arrays[f"sb_{name}"] = value
-            for q, cum in enumerate(state.cum):
-                arrays[f"sb_cum_{q}"] = cum
+        for key in extra_header or {}:
+            if key in fields or key in ("estimator", "params"):
+                raise ValidationError(
+                    f"extra_header key {key!r} collides with the "
+                    "stream checkpoint schema"
+                )
+        fields.update(extra_header or {})
+        arrays = self._stream_arrays(state)
         if stats is not None:
             arrays["stats_labels"] = np.asarray(stats.labels, dtype=np.int64)
             for q, table in enumerate(stats.drift_norms):
                 arrays[f"stats_drift_{q}"] = np.asarray(table)
-        write_checkpoint(path, header, arrays)
+        write_state(self, path, fields, arrays)
         return Path(path)
 
     def load_stream(self, path) -> "MiniBatchKhatriRaoKMeans":
@@ -739,85 +669,21 @@ class MiniBatchKhatriRaoKMeans:
         """
         if self.dtype_ is None:
             self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        header, arrays = read_checkpoint(path)
-        check_header_fields(
-            header,
-            {
-                "estimator": type(self).__name__,
-                "kind": "stream",
-                "params": self._param_header(),
-            },
-            path=path,
-        )
-        thetas = []
-        counts = []
-        for q in range(len(self.cardinalities)):
-            for prefix, into, dtype in (
-                ("theta_", thetas, self.dtype_), ("counts_", counts, np.float64),
-            ):
-                key = f"{prefix}{q}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{path} is missing state array {key!r}", field=key,
-                    )
-                into.append(np.ascontiguousarray(arrays[key], dtype=dtype))
-        self.protocentroids_ = thetas
-        self._counts = counts
-        self.n_steps_ = int(header["step"])
-        self.reassignment_fractions_ = (
-            [float(f) for f in arrays["fractions"]]
-            if header.get("has_fractions") else None
-        )
-        self._stream_state = None
-        if header.get("has_bounds"):
-            state = StreamingBounds.for_stream(
-                thetas[0].shape[1], self.cardinalities, seed_dtype=self.dtype_
-            )
-            n = arrays["sb_known"].shape[0]
-            state._grow_to(n)
-            state.size = n
-            state.known[:n] = np.ascontiguousarray(
-                arrays["sb_known"], dtype=bool
-            )
-            state.labels[:n] = np.ascontiguousarray(
-                arrays["sb_labels"], dtype=np.int64
-            )
-            for name, attr in (
-                ("upper", "upper"), ("lower", "lower"),
-                ("u_anchor", "u_anchor"), ("m_anchor", "m_anchor"),
-                ("norms", "norms"), ("margin_base", "_margin_base"),
-            ):
-                key = f"sb_{name}"
-                if key not in arrays:
-                    raise CheckpointError(
-                        f"{path} is missing state array {key!r}", field=key,
-                    )
-                getattr(state, attr)[:n] = np.ascontiguousarray(
-                    arrays[key], dtype=np.float64
-                )
-            state.cum = [
-                np.ascontiguousarray(arrays[f"sb_cum_{q}"], dtype=np.float64)
-                for q in range(len(self.cardinalities))
-            ]
-            state.cum_max = float(header["cum_max"])
-            self._stream_state = state
+        header, arrays = read_state(self, path, kind="stream")
+        self._stream_state = self._read_stream(header, arrays, path)
         self.last_batch_stats_ = None
         if header.get("stats") is not None:
             fields = dict(header["stats"])
             fields.pop("max_drift", None)
-            labels = np.ascontiguousarray(
-                arrays["stats_labels"], dtype=np.int64
+            labels = state_array(arrays, "stats_labels", np.int64, path)
+            tables = tuple(
+                state_array(arrays, f"stats_drift_{q}", np.float64, path)
+                for q in range(len(self.cardinalities))
             )
-            labels.setflags(write=False)
-            tables = []
-            for q in range(len(self.cardinalities)):
-                table = np.ascontiguousarray(
-                    arrays[f"stats_drift_{q}"], dtype=np.float64
-                )
-                table.setflags(write=False)
-                tables.append(table)
+            for array in (labels, *tables):
+                array.setflags(write=False)
             self.last_batch_stats_ = BatchStats(
-                labels=labels, drift_norms=tuple(tables), **fields
+                labels=labels, drift_norms=tables, **fields
             )
         return self
 
@@ -1007,43 +873,16 @@ class MiniBatchKhatriRaoKMeans:
         """
         thetas = self.protocentroids_
         set_labels = np.stack(np.unravel_index(labels, self.cardinalities), axis=1)
-        factored = self.uses_factored_update
-        w_column = (
-            None if sample_weight is None
-            else np.asarray(sample_weight, dtype=batch.dtype)[:, None]
-        )
-        # The contingency tables depend only on the batch assignments (and
-        # weights), which are fixed for the whole sweep — one fused bincount
-        # per set pair.
-        tables = (
-            pair_count_tables(
-                set_labels, self.cardinalities, sample_weight, parallel
-            )
-            if factored else None
-        )
         total_shift = 0.0
         drift_tables = (
             [np.zeros(h) for h in self.cardinalities] if collect_drift else None
         )
-        for q, h in enumerate(self.cardinalities):
-            assignments = set_labels[:, q]
-            if factored:
-                # Batch numerator without the (batch, m) rest gather; thetas
-                # is partially updated (sets < q), matching the gather sweep.
-                numerator = factored_sum_numerator(
-                    q, thetas,
-                    _weighted_grouped_row_sum(
-                        assignments, batch, sample_weight, h, parallel
-                    ),
-                    tables,
-                )
-                denominator = None
-            else:
-                numerator, denominator = _gather_sums(
-                    self.aggregator, thetas, set_labels, q, batch, w_column,
-                    parallel,
-                )
-            batch_counts = _group_mass(assignments, sample_weight, h, parallel)
+        # The batch's Proposition 6.1 statistics — thetas moves in place per
+        # set, matching the batch estimators' Gauss-Seidel sweep.
+        for q, numerator, denominator, batch_counts in set_statistics(
+            batch, thetas, set_labels, self.aggregator, sample_weight,
+            self.uses_factored_update, parallel,
+        ):
             for j in np.flatnonzero(batch_counts > 0):
                 if denominator is not None:
                     safe = denominator[j] > _EPSILON

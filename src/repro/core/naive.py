@@ -66,16 +66,14 @@ def _update_set(
         rest = aggregator.identity(centroids_grid.shape)
 
     axes = tuple(l for l in range(p) if l != set_index)
+    numerator, denominator = aggregator.update_terms(centroids_grid, rest)
+    numerator = np.sum(numerator, axis=axes)
+    if denominator is None:
+        return numerator / float(centroids_grid.size // (h_q * m))
+    denominator = np.sum(denominator, axis=axes)
     updated = thetas[set_index].copy()
-    if aggregator.name == "product":
-        numerator = np.sum(centroids_grid * rest, axis=axes)
-        denominator = np.sum(rest * rest, axis=axes)
-        safe = denominator > _EPSILON
-        updated[safe] = numerator[safe] / denominator[safe]
-    else:
-        count = centroids_grid.size // (h_q * m)
-        numerator = np.sum(centroids_grid - rest, axis=axes)
-        updated = numerator / float(count)
+    safe = denominator > _EPSILON
+    updated[safe] = numerator[safe] / denominator[safe]
     return updated
 
 

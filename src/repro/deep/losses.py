@@ -51,11 +51,7 @@ def materialize_centroid_tensor(
     for theta in thetas[1:]:
         left = result.expand_dims(1)  # (k, 1, d)
         right = theta.expand_dims(0)  # (1, h, d)
-        if agg.name == "product":
-            combined = left * right
-        else:
-            combined = left + right
-        result = combined.reshape(-1, feature_dim)
+        result = agg.pair(left, right).reshape(-1, feature_dim)
     return result
 
 

@@ -287,7 +287,6 @@ class KhatriRaoFederatedKMeans:
 
         self.history_ = _History()
         cumulative_bytes = 0
-        is_product = self.aggregator.name == "product"
         for round_index in range(self.n_rounds):
             participants = _round_participants(
                 self.participation, round_index, len(datas), self.min_clients
@@ -303,8 +302,11 @@ class KhatriRaoFederatedKMeans:
                 for q, h in enumerate(self.cardinalities):
                     # float64 merge accumulators at any working dtype; the
                     # quotient rounds once into the working-dtype thetas.
+                    # The denominator is a per-protocentroid mass, or
+                    # elementwise (h, m) when the aggregator's update_terms
+                    # carry one.
                     numerator = np.zeros((h, m))
-                    denominator = np.zeros((h, m)) if is_product else np.zeros(h)
+                    denominator = None
                     for X in round_datas:
                         labels = self._client_labels(X, thetas)
                         set_labels = np.stack(
@@ -314,20 +316,23 @@ class KhatriRaoFederatedKMeans:
                         if factored:
                             # Contingency-factored client report: no
                             # per-point rest gather on the client either.
-                            client_num, client_mass = sum_sufficient_statistics(
+                            client_num, client_den = sum_sufficient_statistics(
                                 X, thetas, set_labels, q
                             )
-                            numerator += client_num
-                            denominator += client_mass
-                        elif is_product:
-                            rest = self._rest(thetas, set_labels, q, m)
-                            numerator += grouped_row_sum(a_q, X * rest, h)
-                            denominator += grouped_row_sum(a_q, rest * rest, h)
                         else:
-                            rest = self._rest(thetas, set_labels, q, m)
-                            numerator += grouped_row_sum(a_q, X - rest, h)
-                            denominator += np.bincount(a_q, minlength=h)
-                    if is_product:
+                            num_terms, den_terms = self.aggregator.update_terms(
+                                X, self._rest(thetas, set_labels, q, m)
+                            )
+                            client_num = grouped_row_sum(a_q, num_terms, h)
+                            client_den = (
+                                np.bincount(a_q, minlength=h) if den_terms is None
+                                else grouped_row_sum(a_q, den_terms, h)
+                            )
+                        numerator += client_num
+                        if denominator is None:
+                            denominator = np.zeros(client_den.shape)
+                        denominator += client_den
+                    if denominator.ndim == 2:
                         safe = denominator > 1e-12
                         thetas[q][safe] = numerator[safe] / denominator[safe]
                     else:

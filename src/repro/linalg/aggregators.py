@@ -11,8 +11,10 @@ small strategy object exposing:
 * ``split`` — factor a vector ``v`` into ``p`` parts whose aggregation
   reproduces ``v`` (used by the KR-k-means++-style initialization, which must
   turn a sampled centroid into one protocentroid per set);
-* closed-form protocentroid updates used by Proposition 6.1 live in
-  :mod:`repro.core.kr_kmeans` because they also need cluster assignments.
+* ``update_terms`` — the per-row terms whose grouped sums give the
+  closed-form protocentroid update of Proposition 6.1 (the update kernels
+  themselves live in :mod:`repro.core._update` because they also need
+  cluster assignments).
 
 Aggregators are selected by name (``"sum"``/``"+"`` or ``"product"``/``"*"``)
 through :func:`get_aggregator`.
@@ -59,7 +61,11 @@ per-set-pair contingency count tables, so the update never materializes an
 ``(n, m)`` rest matrix (see :mod:`repro.core._update`).  Aggregators
 advertise this through ``supports_factored_update``; the product
 aggregator's update is nonlinear in each ``θ_r`` (the denominator carries
-``rest ⊙ rest``), so it keeps the gather path.
+``rest ⊙ rest``), so it keeps the gather path.  Which of the two update
+shapes an aggregator has is itself a hook, ``update_terms(x, rest)``:
+``(x − rest, None)`` for the sum (numerator over the group's mass) and
+``(x ⊙ rest, rest ⊙ rest)`` for the product (elementwise quotient of
+grouped sums).  Every update kernel asks the hook; none compares names.
 
 Working-dtype capability
 ------------------------
@@ -130,6 +136,20 @@ class Aggregator(ABC):
     def pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Aggregate exactly two arrays (broadcasting allowed)."""
         return self.combine([a, b])
+
+    def update_terms(self, x, rest):
+        """Per-row terms of the closed-form update of one protocentroid set.
+
+        ``rest`` is each row's aggregation of the *other* sets'
+        protocentroids.  Returns ``(numerator, denominator)`` such that the
+        update of protocentroid ``j`` is the grouped sum of ``numerator``
+        over the rows assigned to ``j``, divided elementwise by the grouped
+        sum of ``denominator`` — or by the group's mass when
+        ``denominator`` is ``None``.
+        """
+        raise ValidationError(
+            f"aggregator {self.name!r} does not define update_terms"
+        )
 
     # -- factored-assignment hooks (capability protocol) --------------------
     def cross_gram(self, X: np.ndarray, thetas: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -210,6 +230,14 @@ class SumAggregator(Aggregator):
         # Equal shares: each part is v / p, summing back to v exactly.
         share = vector / float(num_parts)
         return [share.copy() for _ in range(num_parts)]
+
+    def pair(self, a, b):
+        # Operator-generic: also combines autodiff tensors on the tape.
+        return a + b
+
+    def update_terms(self, x, rest):
+        # θ_q[j] = mean over the group of (x − rest) (Proposition 6.1).
+        return x - rest, None
 
     # -- factored-assignment hooks ------------------------------------------
     # For ⊕ = + the centroid of tuple (j_1, ..., j_p) is Σ_q θ_q[j_q], so
@@ -339,6 +367,14 @@ class ProductAggregator(Aggregator):
         sign[sign == 0] = 1.0
         first = sign * root
         return [first] + [root.copy() for _ in range(num_parts - 1)]
+
+    def pair(self, a, b):
+        # Operator-generic: also combines autodiff tensors on the tape.
+        return a * b
+
+    def update_terms(self, x, rest):
+        # θ_q[j] = Σ x ⊙ rest / Σ rest ⊙ rest, elementwise (Proposition 6.1).
+        return x * rest, rest * rest
 
 
 _AGGREGATORS = {

@@ -86,3 +86,44 @@ class TestMiniBatch:
         model = MiniBatchKhatriRaoKMeans((4,), batch_size=64, max_steps=80,
                                          random_state=0).fit(X)
         assert model.centroids().shape == (4, 2)
+
+
+class TestFitAfterPartialFit:
+    """``fit`` is a fresh run whatever ``partial_fit`` did before: the step
+    count restarts, so every published ``BatchStats`` and the model match
+    a fresh estimator's."""
+
+    @staticmethod
+    def _fit_trace(model, X):
+        trace = []
+
+        def note(restart_index, step):
+            stats = model.last_batch_stats_
+            trace.append((stats.step, stats.to_dict(), stats.labels.tobytes()))
+
+        model.callback = note
+        model.fit(X)
+        return trace
+
+    def test_fit_after_partial_fit_matches_a_fresh_fit(self):
+        X, _ = make_blobs(400, n_features=2, n_clusters=9, random_state=2)
+        fresh = MiniBatchKhatriRaoKMeans((3, 3), batch_size=32, max_steps=12,
+                                         random_state=0)
+        reference = self._fit_trace(fresh, X)
+
+        used = MiniBatchKhatriRaoKMeans((3, 3), batch_size=32, max_steps=12,
+                                        random_state=0)
+        for start in range(0, 7 * 20, 20):
+            used.partial_fit(X[start:start + 20])
+        assert used.n_steps_ == 7
+        trace = self._fit_trace(used, X)
+
+        assert [step for step, _, _ in reference] == list(
+            range(1, len(reference) + 1)
+        )
+        assert trace == reference
+        assert used.n_steps_ == fresh.n_steps_
+        assert used.inertia_ == fresh.inertia_
+        assert np.array_equal(used.labels_, fresh.labels_)
+        for got, want in zip(used.protocentroids_, fresh.protocentroids_):
+            assert got.tobytes() == want.tobytes()
