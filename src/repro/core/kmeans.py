@@ -28,9 +28,8 @@ from ..runtime.executor import resolve_executor
 from ..runtime.parallel import open_row_pool, resolve_parallel
 from ._bounds import check_pruning, dense_drift
 from ._distances import assign_to_nearest, row_norms_squared, squared_distances
-from ._factored import grouped_row_sum
 from ._lloyd import fit_restarts, state_array
-from ._update import _group_mass
+from ._update import grouped_statistics
 
 __all__ = ["KMeans", "kmeans_plus_plus_init"]
 
@@ -126,11 +125,11 @@ class KMeans:
         Working dtype of the fit: ``X`` is cast once at ``fit`` entry and
         the distance/update hot loops compute in that precision (float32
         halves memory bandwidth on the BLAS-bound assignment step).
-        Grouped accumulation (centroid sums via
-        :func:`repro.core.grouped_row_sum`), inertia reductions and the
-        pruning-bound maintenance stay float64 — see ``docs/numerics.md``
-        for the error envelope.  ``"float64"`` (default) is bit-identical
-        to the historical behavior.
+        Grouped accumulation (the one-hot centroid sums of
+        :func:`repro.core._update.grouped_statistics`), inertia
+        reductions and the pruning-bound maintenance stay float64 — see
+        ``docs/numerics.md`` for the error envelope.  ``"float64"``
+        (default) is bit-identical to the historical behavior.
     random_state : None, int or Generator
         Source of randomness.
     checkpoint : None, path or CheckpointConfig
@@ -347,10 +346,10 @@ class _KMeansLloyd:
         self.prunes = est.uses_pruning
         # ‖x‖² is constant across iterations and restarts — pay for it once.
         self.x_squared_norms = row_norms_squared(X, parallel=parallel)
-        # ... and so is the weighted data matrix feeding the centroid sums.
-        # Unweighted fits reuse X itself: X·1 is exact, so results are
-        # unchanged, and a memory-mapped X is never materialized in RAM.
-        self.weighted_X = X if sample_weight is None else X * weights[:, None]
+        # The update's data pass weights X block by block; unweighted fits
+        # pass no weights and skip the X·1 product (exact either way), and
+        # a memory-mapped X is never materialized in RAM.
+        self.update_weights = None if sample_weight is None else weights
 
     def init(self, rng):
         return self.est._init_centers(self.X, rng)
@@ -370,12 +369,12 @@ class _KMeansLloyd:
     def update(self, centers, labels, min_distances, rng):
         k = self.est.n_clusters
         new_centers = centers.copy()
-        counts = _group_mass(labels, self.weights, k, self.parallel)
-        # Per-column bincount reduction (grouped_row_sum) over the
-        # fit-hoisted weighted matrix: same row-order accumulation as the
-        # np.add.at scatter it replaces, an order of magnitude faster — and
-        # with pruning this update is the iteration floor.
-        sums = grouped_row_sum(labels, self.weighted_X, k, self.parallel)
+        # The p = 1 data pass: sums and counts in one row-block map, each
+        # bucket accumulated in row order like the np.add.at scatter it
+        # replaces — and with pruning this update is the iteration floor.
+        (sums,), (counts,), _ = grouped_statistics(
+            self.X, labels[:, None], (k,), self.update_weights, self.parallel
+        )
         non_empty = counts > 0
         new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
         # Empty clusters: re-seed on the points farthest from their

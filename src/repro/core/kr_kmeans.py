@@ -57,16 +57,15 @@ update of Proposition 6.1 becomes the per-iteration floor.  Its gather form
 materializes an ``(n, m)`` *rest* matrix per set, plus several same-size
 temporaries around it.  For the sum aggregator the grouped rest
 contribution factors through per-set-pair contingency count tables,
-``Σ_{a_q=j} θ_r[a_r] = (C_qr @ θ_r)[j]``, so the update needs one fused
-``bincount`` pass over the data per set plus tiny
-``(h_q, h_r) @ (h_r, m)`` matmuls — still ``Θ(p·n·m)``, but the only
-full-size temporary left is the fused bincount index, a measured ~3–10×
-constant-factor win (:mod:`repro.core._update`).  The two forms reorder
-floating
-point, so they agree to last-ulp drift; the ``update`` knob selects between
-them and ``"auto"`` uses the factored kernel whenever the aggregator
-advertises ``supports_factored_update`` (sum: yes; product: no — gather
-fallback).
+``Σ_{a_q=j} θ_r[a_r] = (C_qr @ θ_r)[j]``, so the update needs one pass
+over the data for all sets (grouped sums as a one-hot sparse product,
+masses, pair tables) plus tiny ``(h_q, h_r) @ (h_r, m)`` matmuls — still
+``Θ(p·n·m)``, but measured ~18× faster than the gather form on a
+``6000 × 256``, ``(4, 4, 4)`` update (:mod:`repro.core._update`).  The
+two forms reorder floating point, so they agree to last-ulp drift; the
+``update`` knob selects between them and ``"auto"`` uses the factored
+kernel whenever the aggregator advertises ``supports_factored_update``
+(sum: yes; product: no — gather fallback).
 
 Bounds-pruned incremental Lloyd (the ``pruning`` knob)
 ------------------------------------------------------
@@ -209,10 +208,10 @@ class KhatriRaoKMeans:
         Strategy for the closed-form protocentroid update (Proposition 6.1).
         ``"factored"`` assembles each set's numerator through per-set-pair
         contingency count tables (``C_qr @ θ_r``) instead of gathering an
-        ``(n, m)`` rest matrix per set — one fused ``bincount`` pass per
-        set, a ~3–10× constant-factor win over the gather arithmetic (sum
-        aggregator only; other
-        aggregators fall back to ``"gather"`` transparently).  ``"gather"``
+        ``(n, m)`` rest matrix per set — one pass over the data for all
+        sets, measured ~18× faster than the gather arithmetic (sum
+        aggregator only; other aggregators fall back to ``"gather"``
+        transparently).  ``"gather"``
         forces the reference per-point arithmetic.  ``"auto"`` (default)
         uses the factored kernel whenever the aggregator supports it.  The
         two strategies reorder floating point and so agree to last-ulp
@@ -240,7 +239,7 @@ class KhatriRaoKMeans:
         and the BLAS-bound hot paths (``cross_gram``, score blocks) run at
         that precision — float32 halves their memory bandwidth, the
         serving-shaped configuration.  Grouped accumulation
-        (:func:`repro.core.grouped_row_sum`, the ``C_qr @ θ_r`` contingency
+        (the one-hot grouped sums, the ``C_qr @ θ_r`` contingency
         matmuls), inertia/shift reductions and pruning-bound maintenance
         deliberately stay float64 (error analysis in ``docs/numerics.md``).
         The dtype must be supported by the aggregator's ``working_dtypes``
@@ -625,9 +624,10 @@ class KhatriRaoKMeans:
 
         The kernels live in :mod:`repro.core._update`: the contingency-table
         form for decomposable aggregators, the per-point gather reference
-        otherwise.  Both share one weighted-mass ``bincount`` per set
-        between the update denominator and the empty-cluster reseed, and
-        both accept a row pool — per-block partials folded in ascending
+        otherwise.  Both take every set's weighted mass from one data pass
+        (:func:`~repro.core._update.grouped_statistics`), shared by the
+        update denominator and the empty-cluster reseed, and both accept
+        a row pool — per-block partials folded in ascending
         block order, bit-identical at every pool width.
         """
         return update_protocentroids(
