@@ -53,7 +53,6 @@ from .exceptions import (
     QuorumError,
     RateLimitError,
     ReproError,
-    RestartFailedError,
     ServingError,
     SummaryFormatError,
     ValidationError,
@@ -83,7 +82,6 @@ __all__ = [
     "ValidationError",
     "SummaryFormatError",
     "CheckpointError",
-    "RestartFailedError",
     "QuorumError",
     "NotFittedError",
     "MonitoringError",

@@ -43,6 +43,17 @@ from . import __version__
 __all__ = ["main", "build_parser", "build_server_from_args"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -66,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--save", default=None, metavar="PATH",
                      help="write the KR summary to an .npz file")
-    fit.add_argument("--n-jobs", type=int, default=None,
+    fit.add_argument("--n-jobs", type=_positive_int, default=None,
                      help="run the saved model's n_init restarts on this "
                           "many worker threads (default: sequential); "
                           "model selection is identical to sequential")
-    fit.add_argument("--n-threads", type=int, default=None,
+    fit.add_argument("--n-threads", type=_positive_int, default=None,
                      help="row-parallel kernel threads for the saved "
                           "model's fit (default: one per available core); "
                           "any thread count is bit-identical")
@@ -183,7 +194,7 @@ def _cmd_fit(args) -> int:
         print("error: --resume needs --checkpoint-dir to locate the "
               "checkpoint", file=sys.stderr)
         return 2
-    if args.n_jobs and (args.checkpoint_dir or args.resume):
+    if args.n_jobs is not None and (args.checkpoint_dir or args.resume):
         print("error: --n-jobs is incompatible with --checkpoint-dir/"
               "--resume (checkpoints snapshot the sequential restart loop)",
               file=sys.stderr)

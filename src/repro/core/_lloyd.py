@@ -7,9 +7,10 @@ This module owns the control flow they share:
 
 * :func:`fit_restarts` — the restart sweep.  Sequentially it resumes from
   a checkpoint, keeps the best restart so far and salvages it on
-  ``KeyboardInterrupt``; with ``n_jobs`` it runs the restarts through the
-  supervised executor (:func:`~repro.runtime.executor.run_restarts`).
-  Either way the ``ConvergenceWarning`` is raised on the caller's thread.
+  ``KeyboardInterrupt``; with ``n_jobs`` it runs the restarts on that
+  many threads, one spawned RNG stream per restart.  Either way a failing
+  restart's own exception propagates and the ``ConvergenceWarning`` is
+  raised on the caller's thread.
 * :func:`iterate` — the iteration loop: the completed counter, the
   callback, the ``tol`` test, checkpoints on continuing iterations only,
   interrupt salvage, and the final assignment with its float64 weighted
@@ -48,6 +49,7 @@ supplies:
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -62,7 +64,6 @@ from ..runtime.checkpoint import (
     serialize_rng_state,
     write_checkpoint,
 )
-from ..runtime.executor import run_restarts
 from ..runtime.parallel import map_row_blocks
 from ._bounds import HamerlyBounds, hamerly_step
 from ._distances import paired_squared_distances
@@ -358,31 +359,53 @@ def _warn_not_converged(est) -> None:
     )
 
 
+def _parallel_restarts(est, adapter, rng):
+    """The ``n_jobs`` sweep; returns ``(runs in seed order, interrupted)``.
+
+    Restart ``i`` draws from ``rng.spawn(n_init)[i]`` on one of
+    ``est.n_jobs`` threads, all sharing the row pool (``submit`` is
+    thread-safe and block workers never re-enter it), so the result is
+    the same at every width.  Runs are collected in seed order — the
+    :meth:`RowBlockPool.map <repro.runtime.parallel.RowBlockPool.map>`
+    idiom — so the first failure met is the lowest failing seed index:
+    the restarts not yet started are cancelled, the running ones waited
+    out, and that restart's own exception propagates.  A callback-raised
+    interrupt ends the collection at the interrupted restart, as in the
+    sequential sweep; Ctrl-C keeps every completed restart and abandons
+    the running ones.
+    """
+    streams = rng.spawn(est.n_init)
+    pool = ThreadPoolExecutor(est.n_jobs, thread_name_prefix="repro-restart")
+    futures = [pool.submit(_restart, est, adapter, stream, restart)
+               for restart, stream in enumerate(streams)]
+    runs, abandon = [], False
+    try:
+        for future in futures:
+            runs.append(future.result())
+            if runs[-1].interrupted:
+                break
+    except KeyboardInterrupt:
+        abandon = True
+        runs = [f.result() for f in futures
+                if f.done() and not f.cancelled() and f.exception() is None]
+        if not runs:
+            raise
+        return runs, True
+    finally:
+        pool.shutdown(wait=not abandon, cancel_futures=True)
+    return runs, runs[-1].interrupted
+
+
 def fit_restarts(est, adapter, rng):
     """Run ``est.n_init`` restarts; returns ``(best Run, interrupted)``."""
     if est.n_jobs is not None:
-        # Supervised parallel sweep: per-restart spawned streams, so the
-        # selected model is identical at every worker count.  The row pool
-        # is shared across restart workers (submit is thread-safe; block
-        # workers never re-enter the pool).
-        def run_one(gen, seed_index):
-            run = _restart(est, adapter, gen, seed_index)
-            if run.interrupted:
-                # A callback-raised interrupt inside a worker: surface it
-                # so the sweep reports interrupted (the executor keeps
-                # every restart that already completed).
-                raise KeyboardInterrupt
-            return run.inertia, run
-
-        report = run_restarts(run_one, est.n_init, rng, est.n_jobs)
-        if report.interrupted and not report.outcomes:
-            raise KeyboardInterrupt
-        # Warn here, on the calling thread, not on the executor thread
-        # that ran the restart.
-        for outcome in report.outcomes:
-            if not outcome.payload.converged:
+        runs, interrupted = _parallel_restarts(est, adapter, rng)
+        # Warn here, on the calling thread, not on the restart's thread.
+        for run in runs:
+            if not run.converged:
                 _warn_not_converged(est)
-        return report.best().payload, report.interrupted
+        # ``min`` keeps the first minimum: ties go to the lowest seed.
+        return min(runs, key=lambda run: run.inertia), interrupted
 
     fp = fingerprint(est, adapter.X, adapter.weights)
     best = resume = None

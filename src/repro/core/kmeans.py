@@ -24,7 +24,6 @@ from .._validation import (
 )
 from ..exceptions import NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
-from ..runtime.executor import resolve_executor
 from ..runtime.parallel import open_row_pool, resolve_parallel
 from ._bounds import check_pruning, dense_drift
 from ._distances import assign_to_nearest, row_norms_squared, squared_distances
@@ -149,14 +148,14 @@ class KMeans:
         (:class:`~repro.faults.FaultHook`), also usable for progress
         reporting.  A callback raising ``KeyboardInterrupt`` triggers
         the graceful-interrupt path.
-    n_jobs : None, int or ExecutorConfig
+    n_jobs : None or int
         ``None`` (default) runs restarts sequentially on a shared RNG —
-        bit-compatible with every earlier release.  An int (or a full
-        :class:`~repro.runtime.executor.ExecutorConfig`) runs them
-        through the supervised parallel executor on per-restart
-        ``rng.spawn`` streams: the result is identical at every worker
-        count, and restart failures are retried/tolerated per the
-        config.  Incompatible with ``checkpoint``/``resume_from``.
+        bit-compatible with every earlier release.  An int ``>= 1`` runs
+        them on that many threads, restart ``i`` on the ``i``-th
+        ``rng.spawn`` stream: the result is identical at every worker
+        count, and a failing restart raises its own exception (the
+        lowest failing restart index wins).  Incompatible with
+        ``checkpoint``/``resume_from``.
     n_threads : None, int or ParallelConfig
         Width of the supervised thread pool the per-iteration kernels
         run on, over fixed row blocks.  ``None`` (default) is one worker
@@ -224,7 +223,9 @@ class KMeans:
         if callback is not None and not callable(callback):
             raise ValidationError(f"callback must be callable, got {callback!r}")
         self.callback = callback
-        self.n_jobs = resolve_executor(n_jobs)
+        self.n_jobs = (
+            None if n_jobs is None else check_positive_int(n_jobs, "n_jobs")
+        )
         self.n_threads = resolve_parallel(n_threads)
         if self.n_jobs is not None and (
             self.checkpoint is not None or self.resume_from is not None

@@ -100,7 +100,6 @@ from .._validation import (
 )
 from ..exceptions import NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
-from ..runtime.executor import resolve_executor
 from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
@@ -264,14 +263,14 @@ class KhatriRaoKMeans:
         completed Lloyd iteration — the training fault-injection seam
         (:class:`~repro.faults.FaultHook`).  A callback raising
         ``KeyboardInterrupt`` triggers the graceful-interrupt path.
-    n_jobs : None, int or ExecutorConfig
+    n_jobs : None or int
         ``None`` (default) runs restarts sequentially on a shared RNG —
-        bit-compatible with every earlier release.  An int (or a full
-        :class:`~repro.runtime.executor.ExecutorConfig`) runs them
-        through the supervised parallel executor on per-restart
-        ``rng.spawn`` streams: identical result at every worker count,
-        restart failures retried/tolerated per the config.  Incompatible
-        with ``checkpoint``/``resume_from``.
+        bit-compatible with every earlier release.  An int ``>= 1`` runs
+        them on that many threads, restart ``i`` on the ``i``-th
+        ``rng.spawn`` stream: the result is identical at every worker
+        count, and a failing restart raises its own exception (the
+        lowest failing restart index wins).  Incompatible with
+        ``checkpoint``/``resume_from``.
     n_threads : None, int or ParallelConfig
         Width of the supervised thread pool that assignment, updates and
         bound sweeps run on, over fixed row blocks.  ``None`` (default)
@@ -360,7 +359,9 @@ class KhatriRaoKMeans:
         if callback is not None and not callable(callback):
             raise ValidationError(f"callback must be callable, got {callback!r}")
         self.callback = callback
-        self.n_jobs = resolve_executor(n_jobs)
+        self.n_jobs = (
+            None if n_jobs is None else check_positive_int(n_jobs, "n_jobs")
+        )
         self.n_threads = resolve_parallel(n_threads)
         if self.n_jobs is not None and (
             self.checkpoint is not None or self.resume_from is not None

@@ -59,23 +59,6 @@ class NotFittedError(ReproError, RuntimeError):
     """An estimator was used before calling ``fit``."""
 
 
-class RestartFailedError(ReproError, RuntimeError):
-    """Too many ``n_init`` restarts died for the sweep to stand.
-
-    The restart executor (:mod:`repro.runtime.executor`) tolerates up to
-    ``max_failures`` restarts failing permanently (each after its bounded
-    retries); one failure beyond that raises this error.  :attr:`seeds`
-    records which restart seed indices died and :attr:`causes` the final
-    exception of each, so an operator can tell *which* streams are
-    poisoned rather than just that the sweep aborted.
-    """
-
-    def __init__(self, message: str, *, seeds=(), causes=()):
-        super().__init__(message)
-        self.seeds = tuple(seeds)
-        self.causes = tuple(causes)
-
-
 class QuorumError(ReproError, RuntimeError):
     """A federated round fell below its ``min_clients`` participation quorum.
 

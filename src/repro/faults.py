@@ -30,10 +30,9 @@ Injection points, one per subsystem:
   (:class:`repro.serving.faults.FaultInjector`, which re-exports this
   module's vocabulary for back-compat);
 * training loops — the estimators' per-iteration ``callback`` knob,
-  via :class:`FaultHook`;
-* parallel restarts — the executor's per-attempt ``fault_hook``, via
-  :class:`RestartFaultPlan` (keyed by ``(seed_index, attempt)`` so the
-  schedule is deterministic under any completion order);
+  via :class:`FaultHook`, on the sequential and the ``n_jobs`` restart
+  sweep alike (for faults pinned to one restart under ``n_jobs``,
+  dispatch on the callback's ``restart_index`` to one hook per restart);
 * federated rounds — per-round client participation, via
   :class:`DropoutSchedule`;
 * artifact writes — :meth:`DataSummary.save
@@ -42,6 +41,7 @@ Injection points, one per subsystem:
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,7 +53,6 @@ __all__ = [
     "FaultHook",
     "FaultSchedule",
     "InjectedKernelError",
-    "RestartFaultPlan",
     "WorkerKill",
 ]
 
@@ -72,7 +71,7 @@ class WorkerKill(BaseException):
 
     A ``BaseException`` so it escapes ``except Exception`` handlers and
     kills the executing thread — stranding in-flight work for whatever
-    supervision layer (serving watchdog, restart executor) must recover.
+    supervision layer (serving watchdog, restart sweep) must recover.
     """
 
 
@@ -198,14 +197,16 @@ class FaultSchedule:
 
 
 class FaultHook:
-    """Call-indexed fault injection for arbitrary single-caller hooks.
+    """Call-indexed fault injection for arbitrary hooks.
 
     Binds one :class:`FaultSchedule` to any hook seam that is invoked
-    repeatedly from one thread — an estimator's per-iteration
-    ``callback``, an artifact writer's ``fault_hook`` — counting calls
-    and applying the scheduled fault on each.  :attr:`fired` records
-    ``(index, context, kind)`` for every non-``ok`` action so chaos
-    suites can cross-check observed failures against the schedule.
+    repeatedly — an estimator's per-iteration ``callback``, an artifact
+    writer's ``fault_hook`` — counting calls and applying the scheduled
+    fault on each.  :attr:`fired` records ``(index, context, kind)`` for
+    every non-``ok`` action so chaos suites can cross-check observed
+    failures against the schedule.  The counter is locked, so a hook
+    shared by ``n_jobs`` restart threads never hands out an index twice
+    (which thread meets which index is then up to the scheduler).
 
     The hook swallows its arguments (they become the recorded context),
     so it can stand in for any callback signature.
@@ -215,10 +216,12 @@ class FaultHook:
         self.schedule = schedule
         self.calls = 0
         self.fired: List[Tuple[int, str, str]] = []
+        self._lock = threading.Lock()
 
     def __call__(self, *args, **kwargs) -> None:
-        index = self.calls
-        self.calls = index + 1
+        with self._lock:
+            index = self.calls
+            self.calls = index + 1
         fault = self.schedule.fault_for(index)
         if fault.kind == "ok":
             return
@@ -228,33 +231,6 @@ class FaultHook:
         )
         self.fired.append((index, context, fault.kind))
         fault.apply(f"#{index}")
-
-
-class RestartFaultPlan:
-    """Per-``(seed_index, attempt)`` faults for the restart executor.
-
-    The executor runs restart attempts concurrently, so a call-indexed
-    schedule would depend on thread timing.  This plan keys faults by
-    the attempt's identity instead — restart ``seed_index``, retry
-    ``attempt`` (0 = first try) — which is deterministic under any
-    completion order.  Unkeyed attempts are ``ok``.
-
-    >>> plan = RestartFaultPlan({(1, 0): "raise", (2, 0): ("sleep", 0.2)})
-    >>> plan(0, 0)                       # restart 0 runs clean
-    """
-
-    def __init__(self, spec: Dict[Tuple[int, int], _SpecValue]):
-        self.faults = {
-            (int(i), int(a)): _as_fault(v) for (i, a), v in spec.items()
-        }
-        self.fired: List[Tuple[int, int, str]] = []
-
-    def __call__(self, seed_index: int, attempt: int) -> None:
-        fault = self.faults.get((seed_index, attempt))
-        if fault is None or fault.kind == "ok":
-            return
-        self.fired.append((seed_index, attempt, fault.kind))
-        fault.apply(f"for restart {seed_index} attempt {attempt}")
 
 
 class DropoutSchedule:

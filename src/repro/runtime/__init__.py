@@ -2,12 +2,12 @@
 
 The execution layer under every estimator's ``fit``: atomic
 checkpoint/resume with bit-identical continuation
-(:mod:`~repro.runtime.checkpoint`), supervised parallel ``n_init``
-restarts with retries, timeouts and deterministic selection
-(:mod:`~repro.runtime.executor`), and the deterministic row-block layer
+(:mod:`~repro.runtime.checkpoint`) and the deterministic row-block layer
 that parallelizes the per-iteration kernels and streams memory-mapped
-inputs (:mod:`~repro.runtime.parallel`).  See ``docs/reliability.md``
-for the operator-facing story.
+inputs (:mod:`~repro.runtime.parallel`).  The ``n_init`` restart sweep,
+sequential or on ``n_jobs`` threads, lives with the Lloyd engine in
+:mod:`repro.core._lloyd`.  See ``docs/reliability.md`` for the
+operator-facing story.
 """
 
 from .checkpoint import (
@@ -19,14 +19,6 @@ from .checkpoint import (
     restore_rng_state,
     serialize_rng_state,
     write_checkpoint,
-)
-from .executor import (
-    ExecutorConfig,
-    RestartFailure,
-    RestartOutcome,
-    RestartReport,
-    resolve_executor,
-    run_restarts,
 )
 from .parallel import (
     DEFAULT_BLOCK_ROWS,
@@ -41,11 +33,7 @@ from .parallel import (
 __all__ = [
     "CheckpointConfig",
     "DEFAULT_BLOCK_ROWS",
-    "ExecutorConfig",
     "ParallelConfig",
-    "RestartFailure",
-    "RestartOutcome",
-    "RestartReport",
     "RowBlockPool",
     "array_digest",
     "data_fingerprint",
@@ -53,11 +41,9 @@ __all__ = [
     "open_row_pool",
     "read_checkpoint",
     "resolve_checkpoint",
-    "resolve_executor",
     "resolve_parallel",
     "restore_rng_state",
     "row_blocks",
-    "run_restarts",
     "serialize_rng_state",
     "write_checkpoint",
 ]

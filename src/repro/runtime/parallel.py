@@ -30,9 +30,10 @@ Cost rules
   when the last live pool closes.  With a BLAS other than numpy's
   OpenBLAS the budget is a no-op.
 
-Supervision reuses the :mod:`~repro.runtime.executor` idioms: the lowest
-failing *block index* wins, remaining futures are cancelled, and there
-are no retries — the kernels are deterministic.
+Supervision is fail-fast: the lowest failing *block index* wins,
+remaining futures are cancelled, and there are no retries — the kernels
+are deterministic.  The ``n_jobs`` restart sweep
+(:mod:`repro.core._lloyd`) follows the same idiom over restarts.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ class RowBlockPool:
     def close(self) -> None:
         """Stop the workers, wait for their threads to exit and release
         the BLAS budget.  A closed pool never restarts: a straggler still
-        mapping on it (an abandoned ``n_jobs`` restart) runs its blocks
-        inline."""
+        mapping on it (an ``n_jobs`` restart abandoned by Ctrl-C) runs its
+        blocks inline."""
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True

@@ -89,6 +89,34 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-jobs", "0"), ("--n-jobs", "-1"),
+        ("--n-threads", "0"), ("--n-threads", "-1"),
+    ])
+    def test_non_positive_worker_counts_exit_before_any_work(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fit", "--dataset", "r15", "--scale", "0.3",
+                "--save", str(tmp_path / "m.npz"),
+                "--checkpoint-dir", str(tmp_path / "d"), flag, value,
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no dataset loaded, no table fitted
+        assert "usage:" in captured.err and flag in captured.err
+
+    def test_n_jobs_with_checkpoint_dir_is_refused(self, tmp_path, capsys):
+        code = main([
+            "fit", "--dataset", "r15", "--save", str(tmp_path / "m.npz"),
+            "--checkpoint-dir", str(tmp_path / "d"), "--n-jobs", "1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-jobs is incompatible" in captured.err
+
 
 class TestCLIServe:
     """The serve command's parser defaults and server construction.
