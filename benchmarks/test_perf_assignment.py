@@ -8,7 +8,13 @@ k-Means on the assignment step.  Two benchmarks attack it from both sides:
   through the seed materialized path (``khatri_rao_combine`` +
   ``assign_to_nearest``, ``O(n·k·m)``) and through the factored kernel
   (``assign_factored``, ``O(n·m·Σh_q + n·k·p)``), in both full-grid and
-  chunked (memory) modes → ``.benchmarks/assignment_speedup.json``.
+  chunked (memory) modes.  The same record carries the two top-2 block
+  kernels of the full-grid mode — the materialized ``(rows, k)`` score
+  grid and the set-major slab sweep — timed per block at
+  ``(16, 16)``/m=64 and ``(8, 8, 8)``/m=32 over a row ladder, with the
+  smallest block where set-major won in this run next to the one where
+  ``SET_MAJOR_MIN_GRID_BYTES`` switches to it
+  → ``.benchmarks/assignment_speedup.json``.
 
 * ``test_bounds_pruning_speedup`` times end-to-end multi-iteration
   ``KhatriRaoKMeans.fit()`` with and without cross-iteration Hamerly bounds
@@ -56,8 +62,13 @@ from repro.core import (
     update_gather,
 )
 from repro.core._distances import assign_to_nearest
+from repro.core._factored import (
+    _grid_top2,
+    _prefers_set_major,
+    _set_major_top2,
+)
 from repro.exceptions import ConvergenceWarning
-from repro.linalg import khatri_rao_combine
+from repro.linalg import SumAggregator, khatri_rao_combine
 
 CARDINALITIES = (8, 8, 8)
 N_FEATURES = 256
@@ -130,6 +141,7 @@ def test_factored_assignment_speedup():
 
     speedup_full = timings["materialized"] / timings["factored"]
     speedup_chunked = timings["materialized_chunked"] / timings["factored_chunked"]
+    block_kernels = _block_kernel_timings()
 
     print_header(
         f"Assignment step: n={n}, m={N_FEATURES}, cardinalities={CARDINALITIES} "
@@ -139,7 +151,20 @@ def test_factored_assignment_speedup():
         print(f"{name:<22}{elapsed * 1e3:>10.2f} ms")
     print(f"{'speedup (full grid)':<22}{speedup_full:>10.2f}x")
     print(f"{'speedup (chunked)':<22}{speedup_chunked:>10.2f}x")
+    for shape in block_kernels:
+        print(f"top-2 block kernels, {shape['cardinalities']} "
+              f"m={shape['n_features']}: grid / set-major ms per block")
+        for leg in shape["ladder"]:
+            print(f"{leg['rows']:>8} rows{leg['grid_ms']:>10.3f}"
+                  f"{leg['set_major_ms']:>10.3f}{leg['speedup']:>8.2f}x"
+                  f"{'  (selected)' if leg['selected'] else ''}")
 
+    at_full_block = {
+        f"block_speedup_{shape['name']}": shape["ladder"][-1]["speedup"]
+        for shape in block_kernels
+    }
+    floors = {"speedup_full": 1.0, **dict.fromkeys(at_full_block, 1.0)}
+    speedups = {"speedup_full": speedup_full, **at_full_block}
     record = {
         "benchmark": "assignment_speedup",
         "n_points": n,
@@ -150,8 +175,10 @@ def test_factored_assignment_speedup():
         "timings_seconds": timings,
         "speedup_full": speedup_full,
         "speedup_chunked": speedup_chunked,
-        "floors": {"speedup_full": 1.0},
-        "meets_floors": bool(speedup_full >= 1.0),
+        "block_kernels": block_kernels,
+        **at_full_block,
+        "floors": floors,
+        "meets_floors": all(speedups[name] >= floors[name] for name in floors),
         "attempts": attempt,
     }
     out_dir = Path(__file__).resolve().parents[1] / ".benchmarks"
@@ -159,6 +186,80 @@ def test_factored_assignment_speedup():
     (out_dir / "assignment_speedup.json").write_text(
         json.dumps(record, indent=2) + "\n"
     )
+
+
+#: (name, cardinalities, n_features) of the per-block kernel comparison:
+#: the profile-fit shape and the monitored-stream shape.
+BLOCK_SHAPES = (
+    ("16x16", (16, 16), 64),
+    ("8x8x8", (8, 8, 8), 32),
+)
+BLOCK_ROWS = (128, 256, 512, 1024, 2048, 4096)
+BLOCK_REPEATS = 7
+
+
+def _elapsed_ms(fn):
+    start = time.perf_counter()
+    fn()
+    return (time.perf_counter() - start) * 1e3
+
+
+def _block_kernel_timings():
+    """Per-block grid vs set-major top-2 times over a row ladder.
+
+    Each leg first asserts the two kernels agree bit for bit on that
+    block, then alternates them ``BLOCK_REPEATS`` times and keeps each
+    one's median.  ``crossover_rows`` is the smallest ladder block from
+    which set-major won every larger block in this run;
+    ``selected_from_rows`` is where the grid-bytes rule switches.
+    """
+    rng = np.random.default_rng(0)
+    shapes = []
+    for name, cardinalities, m in BLOCK_SHAPES:
+        thetas = [rng.normal(size=(h, m)) for h in cardinalities]
+        self_terms = SumAggregator().self_interaction(thetas)
+        ladder = []
+        for rows in BLOCK_ROWS:
+            grams = SumAggregator().cross_gram(
+                rng.normal(size=(rows, m)), thetas
+            )
+            want = _grid_top2(grams, self_terms, cardinalities, True)
+            got = _set_major_top2(grams, self_terms, cardinalities, True)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+            grid, set_major = [], []
+            for _ in range(BLOCK_REPEATS):
+                grid.append(_elapsed_ms(lambda: _grid_top2(
+                    grams, self_terms, cardinalities, True)))
+                set_major.append(_elapsed_ms(lambda: _set_major_top2(
+                    grams, self_terms, cardinalities, True)))
+            grid_ms, set_major_ms = np.median(grid), np.median(set_major)
+            ladder.append({
+                "rows": rows,
+                "grid_bytes": rows * self_terms.nbytes,
+                "grid_ms": round(float(grid_ms), 4),
+                "set_major_ms": round(float(set_major_ms), 4),
+                "speedup": round(float(grid_ms / set_major_ms), 3),
+                "selected": _prefers_set_major(rows, cardinalities, self_terms),
+            })
+        crossover = None
+        for leg in reversed(ladder):
+            if leg["speedup"] <= 1.0:
+                break
+            crossover = leg["rows"]
+        shapes.append({
+            "name": name,
+            "cardinalities": list(cardinalities),
+            "n_features": m,
+            "dtype": "float64",
+            "ladder": ladder,
+            "crossover_rows": crossover,
+            "selected_from_rows": next(
+                (leg["rows"] for leg in ladder if leg["selected"]), None
+            ),
+        })
+    return shapes
 
 
 # ----------------------------------------------------------------- update

@@ -21,12 +21,18 @@ the cost once cross-iteration Hamerly bounds (:mod:`repro.core._bounds`)
 restrict the scan to the ``a ≤ n`` active points whose bounds overlap —
 late Lloyd iterations typically have ``a ≪ n``:
 
-==============  ==========================  =========================  ==========================
-strategy        time (full)                 time (pruned iteration)    extra memory
-==============  ==========================  =========================  ==========================
-materialized    ``O(n·k·m)``                ``O(a·k·m + n)``           ``O(k·m + n·c)`` (chunk c)
+==============  ==========================  ===========================  ============================
+strategy        time (full)                 time (pruned iteration)      extra memory
+==============  ==========================  ===========================  ============================
+materialized    ``O(n·k·m)``                ``O(a·k·m + n)``             ``O(k·m + n·c)`` (chunk c)
 factored        ``O(n·m·Σh_q + n·k·p)``     ``O(a·m·Σh_q + a·k·p + n)``  ``O(n·Σh_q + n·c)``
-==============  ==========================  =========================  ==========================
+==============  ==========================  ===========================  ============================
+
+``c`` is the chunk width, or ``k`` for a full-grid block.  A factored
+full-grid block large enough to run set-major (see
+:mod:`repro.core._factored`) needs only ``b·(k/h_1 + h_1)`` scratch for
+its ``b`` rows — one leading-set slab plus the per-slab minima — instead
+of the ``b·k`` grid.
 
 Both strategies can return the *top-2* distances per point
 (``return_second=True``) at no extra asymptotic cost — the argmin entries

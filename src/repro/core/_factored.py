@@ -21,6 +21,20 @@ row it does not affect the argmin, so the kernel minimizes the *partial*
 score ``S − 2 Σ_q G_q`` and adds ``‖x‖²`` back only for the returned
 distances.
 
+Each row block reduces its scores to labels and top-2 distances with one
+of two block kernels, chosen by the block's grid bytes
+(:data:`SET_MAJOR_MIN_GRID_BYTES`) and bit-identical to each other:
+
+==================  =====================================  ==========================
+block kernel        passes over the ``rows · k`` scores    scratch per block
+==================  =====================================  ==========================
+grid (small)        ``p + 1`` writes, argmin, mask, min     ``rows · k``
+set-major (large)   ``p`` writes + min, one slab in cache  ``rows · (k/h_1 + h_1)``
+==================  =====================================  ==========================
+
+The grid keeps serving-sized requests, ``p = 1`` and small grids such as
+``(3, 3)``; the set-major sweep wins once the grid outgrows the cache.
+
 Which aggregators decompose this way is an aggregator capability
 (``supports_factored_assignment`` — see :mod:`repro.linalg.aggregators`);
 the product aggregator does not, and estimators fall back to the
@@ -136,7 +150,20 @@ def assign_factored(
     # Dtype-preserving: float32 data scores in float32 (sgemm Grams, half-
     # bandwidth partial-score blocks); anything else widens to float64.
     X = as_float_array(X)
-    n = X.shape[0]
+    if X.ndim != 2:
+        raise ValidationError(f"X must be 2-D, got shape {X.shape}")
+    n, m = X.shape
+    for q, theta in enumerate(thetas):
+        if np.ndim(theta) != 2 or np.shape(theta)[1] != m:
+            raise ValidationError(
+                f"protocentroid set {q} must have shape (h_{q}, {m}) to match "
+                f"X's {m} features, got {np.shape(theta)}"
+            )
+    if x_squared_norms is not None and np.shape(x_squared_norms) != (n,):
+        raise ValidationError(
+            f"x_squared_norms must have shape ({n},) to match X, got "
+            f"{np.shape(x_squared_norms)}"
+        )
     cardinalities = tuple(theta.shape[0] for theta in thetas)
     # int_prod, not np.prod: the implicit grid size overflows int64 for
     # large configurations (e.g. eight sets of 256) and np.prod wraps.
@@ -157,10 +184,14 @@ def assign_factored(
     def _block(start, stop):
         grams = agg.cross_gram(X[start:stop], thetas)  # p x (rows, h_q)
         if full:
-            partial = _full_partial_scores(grams, self_terms, cardinalities)
-            labels = np.argmin(partial, axis=1)
-            best = _row_min(partial, labels)
-            second = _row_second_min(partial, labels) if return_second else None
+            top2 = (
+                _set_major_top2
+                if _prefers_set_major(stop - start, cardinalities, self_terms)
+                else _grid_top2
+            )
+            labels, best, second = top2(
+                grams, self_terms, cardinalities, return_second
+            )
         else:
             labels, best, *second = _chunked_argmin(
                 stop - start,
@@ -187,6 +218,113 @@ def assign_factored(
     )
 
 
+#: Grid bytes (``rows · k · itemsize``) from which a block's top-2 runs
+#: set-major.  Set-major wins once the grid outgrows the cache and loses
+#: below it to its per-slab ufunc dispatch: on a 2-vCPU Xeon, one thread,
+#: it ran 0.75× the grid's speed at (16, 16) × 512 rows (1 MiB, float64),
+#: 1.02× at 1024 rows (2 MiB) and 1.5× at 4096 rows; (8, 8, 8) broke
+#: even at 1 MiB and (3, 3) lost up to 4096 rows (288 KiB).  See
+#: ``benchmarks/test_perf_assignment.py``.
+SET_MAJOR_MIN_GRID_BYTES = 2 << 20
+
+
+def _prefers_set_major(
+    rows: int, cardinalities: Tuple[int, ...], self_terms: np.ndarray
+) -> bool:
+    """Whether a ``rows``-row block's top-2 should run set-major."""
+    return (
+        len(cardinalities) >= 2
+        and rows * self_terms.size * self_terms.itemsize
+        >= SET_MAJOR_MIN_GRID_BYTES
+    )
+
+
+def _grid_top2(
+    grams: Sequence[np.ndarray],
+    self_terms: np.ndarray,
+    cardinalities: Tuple[int, ...],
+    return_second: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Labels, best and (optionally) second partial score of every row,
+    from the materialized ``(rows, k)`` score grid."""
+    partial = _full_partial_scores(grams, self_terms, cardinalities)
+    labels = np.argmin(partial, axis=1)
+    best = _row_min(partial, labels)
+    second = _row_second_min(partial, labels) if return_second else None
+    return labels, best, second
+
+
+def _set_major_top2(
+    grams: Sequence[np.ndarray],
+    self_terms: np.ndarray,
+    cardinalities: Tuple[int, ...],
+    return_second: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """:func:`_grid_top2`, bit for bit, one leading-set slab at a time.
+
+    Member ``v`` of set 1 owns the contiguous flat range
+    ``[v·w, (v+1)·w)``, ``w = k / h_1``.  Its slab holds those scores
+    with rows on the last axis, shape ``(h_2, ..., h_p, rows)``, built
+    with the operation order of :func:`_full_partial_scores`
+    (``((S − 2G_1) − 2G_2) − …``, each ``2G_q`` exact) so every score
+    carries the same bits, and is reduced to its per-row minimum
+    ``mins[v]`` while it is still in cache.  Only one slab and the
+    ``(h_1, rows)`` minima are live.
+
+    The first ``v*`` attaining ``min_v mins[v]`` holds the lowest flat
+    index of the row minimum, since flat order is leading-set-major; the
+    ``v*`` slab is rebuilt row-wise with the same order and its first
+    argmin ``w*`` completes ``label = v*·w + w*`` — the index
+    ``np.argmin`` picks on the grid, ties included.  The second-smallest
+    score is the smaller of the other slabs' minima and the ``v*`` row
+    with its argmin masked.  Scratch is ``rows · (w + h_1)`` scores.
+    """
+    rows = grams[0].shape[0]
+    lead, tail = cardinalities[0], cardinalities[1:]
+    width = self_terms.size // lead
+    self_grid = self_terms.reshape(cardinalities)
+    doubled = [2.0 * gram for gram in grams]
+    # Set-major operands: 2G_q transposed to (h_q, rows), the tail sets
+    # shaped to broadcast along their own slab axis.
+    lead_rows = np.ascontiguousarray(doubled[0].T)
+    tail_terms = []
+    for q, term in enumerate(doubled[1:]):
+        shape = [1] * len(tail) + [rows]
+        shape[q] = tail[q]
+        tail_terms.append(np.ascontiguousarray(term.T).reshape(shape))
+    slab = np.empty(tail + (rows,), dtype=self_terms.dtype)
+    mins = np.empty((lead, rows), dtype=self_terms.dtype)
+    for v in range(lead):
+        np.subtract(self_grid[v][..., None], lead_rows[v], out=slab)
+        for term in tail_terms:
+            np.subtract(slab, term, out=slab)
+        np.minimum.reduce(slab.reshape(width, rows), axis=0, out=mins[v])
+    winner = np.argmin(mins, axis=0)
+    # The winning slab, row-major: row i holds its v* slab's scores.
+    row_slab = self_grid.reshape(lead, width)[winner].reshape((rows,) + tail)
+    np.subtract(
+        row_slab,
+        np.take_along_axis(doubled[0], winner[:, None], axis=1).reshape(
+            (rows,) + (1,) * len(tail)
+        ),
+        out=row_slab,
+    )
+    for q, term in enumerate(doubled[1:]):
+        shape = [rows] + [1] * len(tail)
+        shape[q + 1] = tail[q]
+        np.subtract(row_slab, term.reshape(shape), out=row_slab)
+    row_slab = row_slab.reshape(rows, width)
+    offsets = np.argmin(row_slab, axis=1)
+    labels = winner * width + offsets
+    best = _row_min(row_slab, offsets)
+    if not return_second:
+        return labels, best, None
+    np.put_along_axis(mins, winner[None, :], np.inf, axis=0)
+    second = _row_second_min(row_slab, offsets)
+    np.minimum(second, mins.min(axis=0), out=second)
+    return labels, best, second
+
+
 def _full_partial_scores(
     grams: Sequence[np.ndarray],
     self_terms: np.ndarray,
@@ -203,7 +341,8 @@ def _full_partial_scores(
         shape[0] = n
         shape[q + 1] = cardinalities[q]
         scores -= 2.0 * gram.reshape(shape)
-    return scores.reshape(n, -1)
+    # Explicit width: ``reshape(n, -1)`` cannot infer it when n == 0.
+    return scores.reshape(n, self_terms.size)
 
 
 def _partial_score_block(

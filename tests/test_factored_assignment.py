@@ -73,6 +73,133 @@ class TestKernelEquivalence:
             assign_factored(X, thetas, "product")
 
 
+def _kernel_problem(seed, cardinalities, rows, dtype, ties):
+    """Grams and self-terms of a random problem; ``ties`` draws small
+    integers (exact scores, frequent ties) and duplicates protocentroids."""
+    rng = np.random.default_rng(seed)
+    m = 3
+    if ties:
+        X = rng.integers(-2, 3, size=(rows, m)).astype(dtype)
+        thetas = [rng.integers(-1, 2, size=(h, m)).astype(dtype)
+                  for h in cardinalities]
+        for theta in thetas:
+            theta[-1] = theta[0]
+    else:
+        X = rng.normal(size=(rows, m)).astype(dtype)
+        thetas = [rng.normal(size=(h, m)).astype(dtype) for h in cardinalities]
+    agg = SumAggregator()
+    return agg.cross_gram(X, thetas), agg.self_interaction(thetas)
+
+
+class TestSetMajorKernel:
+    """The set-major block kernel is the grid kernel, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cardinalities=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        rows=st.integers(0, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        ties=st.booleans(),
+        return_second=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_grid_kernel(
+        self, seed, cardinalities, rows, dtype, ties, return_second
+    ):
+        from repro.core._factored import _grid_top2, _set_major_top2
+
+        cardinalities = tuple(cardinalities)
+        grams, self_terms = _kernel_problem(seed, cardinalities, rows, dtype, ties)
+        before = [gram.copy() for gram in grams] + [self_terms.copy()]
+        want = _grid_top2(grams, self_terms, cardinalities, return_second)
+        got = _set_major_top2(grams, self_terms, cardinalities, return_second)
+        for array, copy in zip(grams + [self_terms], before):
+            np.testing.assert_array_equal(array, copy)
+        if not return_second:
+            assert want[2] is None and got[2] is None
+            want, got = want[:2], got[:2]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(w))
+
+    def test_tie_breaks_to_lowest_flat_index(self):
+        from repro.core._factored import _set_major_top2
+
+        # Every centroid scores the same: argmin's answer is flat index 0.
+        grams = [np.zeros((4, 3)), np.zeros((4, 2))]
+        labels, best, second = _set_major_top2(grams, np.zeros(6), (3, 2), True)
+        np.testing.assert_array_equal(labels, 0)
+        np.testing.assert_array_equal(second, 0.0)
+
+    def test_selection_rule(self):
+        from repro.core._factored import (
+            SET_MAJOR_MIN_GRID_BYTES,
+            _prefers_set_major,
+        )
+
+        terms = np.zeros(256)  # a (16, 16) float64 grid: 2 KiB per row
+        rows = SET_MAJOR_MIN_GRID_BYTES // terms.nbytes
+        assert _prefers_set_major(rows, (16, 16), terms)
+        assert not _prefers_set_major(rows - 1, (16, 16), terms)
+        # One set has no slabs to reduce; small blocks keep the grid.
+        assert not _prefers_set_major(10**6, (256,), terms)
+        assert not _prefers_set_major(32, (16, 16), terms)
+        assert not _prefers_set_major(4096, (3, 3), np.zeros(9))
+
+    @pytest.mark.parametrize("cardinalities", [(16, 16), (8, 8, 8)])
+    def test_assign_factored_uses_set_major_on_large_blocks(
+        self, cardinalities, monkeypatch
+    ):
+        from repro.core import _factored
+
+        calls = []
+        real = _factored._set_major_top2
+
+        def spy(*args):
+            calls.append(args[0][0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(_factored, "_set_major_top2", spy)
+        X, thetas = _random_problem(3, cardinalities, n=4096 + 32)
+        centroids = khatri_rao_combine(thetas, "sum")
+        ref = assign_to_nearest(X, centroids, return_second=True)
+        got = assign_factored(X, thetas, "sum", return_second=True)
+        assert calls == [4096]  # the trailing 32-row block stays on the grid
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_allclose(got[1], ref[1], atol=1e-9)
+        np.testing.assert_allclose(got[2], ref[2], atol=1e-9)
+
+
+class TestAssignFactoredInputs:
+    @pytest.mark.parametrize("return_second", [False, True])
+    @pytest.mark.parametrize("chunk_size", [0, 2])
+    def test_zero_rows_return_empty(self, chunk_size, return_second):
+        _, thetas = _random_problem(1, (3, 2))
+        out = assign_factored(
+            np.empty((0, 6)), thetas, "sum",
+            chunk_size=chunk_size, return_second=return_second,
+        )
+        assert len(out) == (3 if return_second else 2)
+        assert out[0].shape == (0,) and out[0].dtype == np.int64
+        for distances in out[1:]:
+            assert distances.shape == (0,) and distances.dtype == np.float64
+
+    @pytest.mark.parametrize("chunk_size", [0, 2])
+    def test_feature_mismatch_names_the_set(self, chunk_size):
+        X, thetas = _random_problem(1, (3, 2))
+        thetas[1] = thetas[1][:, :5]
+        with pytest.raises(ValidationError, match="protocentroid set 1"):
+            assign_factored(X, thetas, "sum", chunk_size=chunk_size)
+
+    def test_wrong_length_norms_rejected(self):
+        X, thetas = _random_problem(1, (3, 2))
+        with pytest.raises(ValidationError, match="x_squared_norms"):
+            assign_factored(
+                X, thetas, "sum", x_squared_norms=row_norms_squared(X)[:-1]
+            )
+
+
 class TestAggregatorHooks:
     @pytest.mark.parametrize("cardinalities", CARDINALITY_SETS)
     def test_self_interaction_is_centroid_norms(self, cardinalities):
