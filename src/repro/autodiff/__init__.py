@@ -11,12 +11,13 @@ Gradients are accumulated into ``Tensor.grad`` by calling ``backward()`` on
 a scalar loss, exactly like the PyTorch API the paper's implementation uses.
 """
 
-from .functional import logsumexp, mse_loss, relu, sigmoid, softmax, tanh
+from .functional import affine, logsumexp, mse_loss, relu, sigmoid, softmax, tanh
 from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
     "no_grad",
+    "affine",
     "relu",
     "sigmoid",
     "tanh",

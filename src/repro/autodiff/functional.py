@@ -1,18 +1,53 @@
 """Composite differentiable functions built on :class:`~repro.autodiff.Tensor`.
 
-These cover the nonlinearities and stable reductions the deep-clustering
-losses need: ReLU-family activations, numerically stable softmax/logsumexp
-(required by the DKM loss, whose ``a = 1000`` temperature produces extreme
-exponents) and the mean-squared reconstruction loss.
+These cover the dense layer's fused affine map, the nonlinearities and
+stable reductions the deep-clustering losses need: ReLU-family activations,
+numerically stable softmax/logsumexp (required by the DKM loss, whose
+``a = 1000`` temperature produces extreme exponents) and the mean-squared
+reconstruction loss.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
-__all__ = ["relu", "leaky_relu", "sigmoid", "tanh", "softmax", "logsumexp", "mse_loss"]
+__all__ = [
+    "affine", "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "logsumexp", "mse_loss",
+]
+
+
+def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Dense map ``x @ weight + bias`` as one tape node.
+
+    The bias is added in place to the fresh product, so the values equal
+    ``(x @ weight) + bias`` bit for bit with one array fewer.  Backward
+    returns ``grad @ weight.T`` (only when ``x`` requires grad, so a data
+    batch costs no product), ``x.T @ grad`` and the bias gradient summed
+    over the broadcast rows, exactly as the ``matmul`` + ``add`` pair does.
+    """
+    data = x.data @ weight.data
+    if bias is None:
+        parents = (x, weight)
+    else:
+        data += bias.data
+        parents = (x, weight, bias)
+
+    def backward(grad):
+        grads = (
+            grad @ weight.data.T if x.requires_grad else None,
+            x.data.T @ grad if weight.requires_grad else None,
+        )
+        if bias is None:
+            return grads
+        return grads + (
+            _unbroadcast(grad, bias.data.shape) if bias.requires_grad else None,
+        )
+
+    return x._make(data, parents, backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -7,11 +7,15 @@ Implementation notes
 * Broadcasting is handled by :func:`_unbroadcast`, which sums gradient
   contributions over broadcast axes — the standard reverse of numpy
   broadcasting semantics.
+* A backward closure returns ``None`` for a parent that does not require
+  grad instead of computing a gradient the tape would discard (for a layer
+  fed the data batch, that skips the ``grad @ W.T`` product).
 * A process-wide :func:`no_grad` context disables taping for inference.
 """
 
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -52,6 +56,25 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 def _as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _subtract(left: "Tensor", right: "Tensor") -> "Tensor":
+    """``left - right`` as one node.
+
+    IEEE subtraction is addition of the negation, so the forward values
+    equal ``left + (-right)`` bit for bit, and so does the right operand's
+    gradient ``-unbroadcast(grad)``.  The parents keep that composition's
+    order, so the tape walks every other node in the same order.
+    """
+    data = left.data - right.data
+
+    def backward(grad):
+        return (
+            _unbroadcast(grad, left.data.shape) if left.requires_grad else None,
+            -_unbroadcast(grad, right.data.shape) if right.requires_grad else None,
+        )
+
+    return left._make(data, (left, right), backward)
 
 
 class Tensor:
@@ -99,7 +122,12 @@ class Tensor:
         return self.data
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor as a Python float."""
+        if self.data.size != 1:
+            raise ValidationError(
+                f"item() needs a one-element tensor, got shape {self.data.shape}"
+            )
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         """A view of the data cut off from the tape."""
@@ -166,11 +194,6 @@ class Tensor:
                     grads[key] = grads[key] + parent_grad
                 else:
                     grads[key] = parent_grad
-        # Flush any remaining leaves (parents visited before their grads).
-        for node in order:
-            remaining = grads.pop(id(node), None)
-            if remaining is not None and node._backward is None:
-                node.grad = remaining if node.grad is None else node.grad + remaining
 
     # ----------------------------------------------------------- arithmetic
     def __add__(self, other) -> "Tensor":
@@ -179,8 +202,8 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(grad, other.data.shape),
+                _unbroadcast(grad, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.data.shape) if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -194,10 +217,10 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-_as_tensor(other))
+        return _subtract(self, _as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) + (-self)
+        return _subtract(_as_tensor(other), self)
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -205,8 +228,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad * other.data, self.data.shape),
-                _unbroadcast(grad * self.data, other.data.shape),
+                _unbroadcast(grad * other.data, self.data.shape)
+                if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.data.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -219,8 +244,10 @@ class Tensor:
 
         def backward(grad):
             return (
-                _unbroadcast(grad / other.data, self.data.shape),
-                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                _unbroadcast(grad / other.data, self.data.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -229,8 +256,8 @@ class Tensor:
         return _as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise ValidationError("only scalar exponents are supported")
+        if isinstance(exponent, (bool, np.bool_)) or not isinstance(exponent, numbers.Real):
+            raise ValidationError("only real scalar exponents are supported")
         data = self.data**exponent
 
         def backward(grad):
@@ -243,7 +270,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(grad):
-            return (grad @ other.data.T, self.data.T @ grad)
+            return (
+                grad @ other.data.T if self.requires_grad else None,
+                self.data.T @ grad if other.requires_grad else None,
+            )
 
         return self._make(data, (self, other), backward)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .._validation import check_positive_int, check_random_state
 from ..autodiff import Tensor
-from ..autodiff.functional import leaky_relu, relu, sigmoid, tanh
+from ..autodiff.functional import affine, leaky_relu, relu, sigmoid, tanh
 from ..exceptions import ValidationError
 
 __all__ = ["Module", "Linear", "HadamardLinear", "Activation", "Sequential"]
@@ -87,10 +87,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return affine(x, self.weight, self.bias)
 
     def parameters(self) -> List[Tensor]:
         params = [self.weight]
@@ -169,10 +166,7 @@ class HadamardLinear(Module):
         return weight
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.effective_weight()
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return affine(x, self.effective_weight(), self.bias)
 
     def parameters(self) -> List[Tensor]:
         params: List[Tensor] = []

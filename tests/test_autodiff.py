@@ -84,6 +84,26 @@ class TestBasics:
         assert t.size == 6
         assert Tensor(5.0).item() == 5.0
 
+    def test_item_of_one_element_array(self):
+        value = Tensor(np.array([[2.5]])).item()
+        assert value == 2.5 and type(value) is float
+        assert Tensor(np.array([2.0])).item() == 2.0
+
+    def test_item_of_many_elements_raises(self):
+        with pytest.raises(ValidationError, match="one-element"):
+            Tensor(np.ones(3)).item()
+
+    def test_pow_accepts_numpy_scalar_exponents(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        (x ** np.int64(2)).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+        np.testing.assert_array_equal((x ** np.float32(3.0)).numpy(), x.numpy() ** 3)
+
+    @pytest.mark.parametrize("exponent", [True, np.bool_(False), np.ones(2), "2", 2j])
+    def test_pow_rejects_non_real_scalar_exponents(self, exponent):
+        with pytest.raises(ValidationError, match="scalar exponents"):
+            Tensor(np.ones(2)) ** exponent
+
 
 class TestGradientsNumerically:
     def test_add_broadcast(self):

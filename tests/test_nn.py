@@ -163,6 +163,22 @@ class TestOptimizers:
         with pytest.raises(ValidationError):
             SGD([Tensor(np.zeros(1), requires_grad=True)], 0.1, momentum=1.0)
 
+    @pytest.mark.parametrize("config", [
+        dict(beta1=1.0), dict(beta1=-0.5), dict(beta1=float("nan")),
+        dict(beta2=1.0), dict(beta2=-1e-3), dict(epsilon=0.0),
+        dict(epsilon=-1e-8), dict(epsilon=float("nan")),
+    ])
+    def test_invalid_adam_hyperparameters(self, config):
+        with pytest.raises(ValidationError):
+            Adam([Tensor(np.zeros(1), requires_grad=True)], 0.1, **config)
+
+    def test_adam_accepts_zero_betas(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        optimizer = Adam([p], 0.1, beta1=0.0, beta2=0.0)
+        p.grad = np.array([1.0, -1.0])
+        optimizer.step()
+        assert np.all(np.isfinite(p.numpy()))
+
 
 class TestTraining:
     def test_minibatches_cover_everything(self):
