@@ -114,6 +114,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ValidationError
+from ..linalg.khatri_rao import khatri_rao_rows
 from ._distances import paired_squared_distances
 
 __all__ = [
@@ -480,12 +481,10 @@ class StreamingBounds:
         return out
 
     def _assigned_cum(self, labels: np.ndarray) -> np.ndarray:
-        """Σ_q cum_q[j_q] for the given flat labels."""
-        set_indices = np.unravel_index(labels, self.cardinalities)
-        total = self.cum[0][set_indices[0]].copy()
-        for q in range(1, len(self.cum)):
-            total += self.cum[q][set_indices[q]]
-        return total
+        """Σ_q cum_q[j_q] for the given flat labels — the Khatri-Rao sum
+        of the ``(h_q, 1)`` cumulative tables, summed left to right."""
+        tables = [cum[:, None] for cum in self.cum]
+        return khatri_rao_rows(tables, labels, "sum")[:, 0]
 
     def settled(self, idx: np.ndarray) -> np.ndarray:
         """Boolean mask over ``idx``: True where the cached label is provably

@@ -35,8 +35,8 @@ supplies:
 * ``assign(model, X, x_squared_norms, return_second=False)`` — the full
   nearest-centroid kernel; ``decode(labels)`` — the labels in the form
   the hooks below take (``KhatriRaoKMeans``: per-set labels), computed
-  once per iteration; ``assigned_rows(model, decoded)`` — the assigned
-  centroid of each row, for bound tightening;
+  once per iteration; ``assigned_rows(model, labels)`` — the centroid
+  of each flat label, for bound tightening;
 * ``update(model, decoded, min_distances, rng)`` — the next model
   (``min_distances`` is ``None`` after a pruned pass);
 * ``shift(old, new)`` — the total squared centroid movement, and
@@ -261,25 +261,26 @@ def iterate(step, finish, weights, *, start, max_iter, tol, callback,
     return labels, inertia, completed, converged, interrupted
 
 
-def pruned_assign(adapter, model, labels, decoded, bounds):
+def pruned_assign(adapter, model, labels, bounds):
     """One Hamerly-pruned assignment pass; ``hamerly_step``'s
-    ``(labels, fraction, full_d1)``.  ``decoded`` is ``adapter.decode``
-    of ``labels``.
+    ``(labels, fraction, full_d1)``.
 
-    Both sweeps run over row blocks of ``adapter.parallel``: the
-    tightening gather over the active set splits on fixed blocks of
-    ``idx`` (each active point's distance is independent, so the
+    The tightening pass gathers every candidate's assigned centroid once
+    (``adapter.assigned_rows``, one grid gather when the grid is the
+    smaller side), then both sweeps run over row blocks of
+    ``adapter.parallel``: the tightening distances split on fixed blocks
+    of ``idx`` (each candidate's distance is independent, so the
     concatenation is exact), and the rescore routes through the
     adapter's row-blocked assignment kernel.
     """
     X, norms, parallel = adapter.X, adapter.x_squared_norms, adapter.parallel
 
     def exact_squared(idx):
+        rows = adapter.assigned_rows(model, labels[idx])
         return np.concatenate(map_row_blocks(
             parallel,
             lambda start, stop: paired_squared_distances(
-                X[idx[start:stop]],
-                adapter.assigned_rows(model, decoded[idx[start:stop]]),
+                X[idx[start:stop]], rows[start:stop],
             ),
             idx.size,
         ))
@@ -301,7 +302,7 @@ def lloyd_step(adapter, run: Run, rng, tol: float) -> float:
         )
     else:
         labels, fraction, min_distances = pruned_assign(
-            adapter, model, run.labels, run.decoded, bounds
+            adapter, model, run.labels, bounds
         )
         if run.fractions is not None:
             run.fractions.append(fraction)

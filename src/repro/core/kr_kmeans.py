@@ -104,6 +104,7 @@ from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
     khatri_rao_combine,
+    khatri_rao_rows,
     num_combinations,
     resolve_working_dtype,
 )
@@ -592,17 +593,6 @@ class KhatriRaoKMeans:
             map_row_blocks(parallel, _block, X.shape[0]), return_second
         )
 
-    def _combine_rows(
-        self, thetas: List[np.ndarray], set_labels: np.ndarray
-    ) -> np.ndarray:
-        """Materialize each point's *assigned* centroid only — ``(b, m)``.
-
-        The tightening step of Hamerly pruning needs just these rows, never
-        the full grid, for any aggregator.
-        """
-        parts = [theta[set_labels[:, q]] for q, theta in enumerate(thetas)]
-        return self.aggregator.combine(parts)
-
     def _materialize_chunk(
         self, thetas: List[np.ndarray], start: int, stop: int
     ) -> np.ndarray:
@@ -684,8 +674,8 @@ class _KhatriRaoLloyd:
     def decode(self, labels):
         return self.est.set_assignments(labels)
 
-    def assigned_rows(self, thetas, set_labels):
-        return self.est._combine_rows(thetas, set_labels)
+    def assigned_rows(self, thetas, labels):
+        return khatri_rao_rows(thetas, labels, self.est.aggregator)
 
     def update(self, thetas, set_labels, min_distances, rng):
         return self.est._update_protocentroids(

@@ -60,6 +60,7 @@ from ..runtime.parallel import open_row_pool, resolve_parallel
 from ..linalg import (
     get_aggregator,
     khatri_rao_combine,
+    khatri_rao_rows,
     num_combinations,
     resolve_working_dtype,
 )
@@ -396,7 +397,7 @@ class MiniBatchKhatriRaoKMeans:
                 )
             else:
                 labels, fraction = self._pruned_batch_labels(
-                    batch, indices, state, parallel
+                    batch, indices, state, x_squared_norms[indices], parallel
                 )
                 shift = self._finish_step(
                     batch, labels, fraction, wb, parallel, state
@@ -436,8 +437,9 @@ class MiniBatchKhatriRaoKMeans:
         weighted schedule as :meth:`fit`.
 
         ``index`` opts into the point-identity protocol: a 1-D array of
-        stable non-negative integer ids, one per batch row, where the same
-        id always names the same immutable point across calls.  With
+        stable non-negative integer ids that fit in int64, one per batch
+        row, where the same id always names the same immutable point
+        across calls.  With
         identities, cross-batch Hamerly pruning engages (when
         ``uses_pruning``): re-presented points whose certified bounds
         still hold skip the argmin, and the stream is bit-identical —
@@ -518,15 +520,19 @@ class MiniBatchKhatriRaoKMeans:
                 "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
             )
 
-    def _assign(self, X: np.ndarray, return_second: bool = False, parallel=None):
+    def _assign(
+        self, X: np.ndarray, return_second: bool = False, parallel=None,
+        x_squared_norms: Optional[np.ndarray] = None,
+    ):
         if self.uses_factored_assignment:
             return assign_factored(
                 X, self.protocentroids_, self.aggregator,
+                x_squared_norms=x_squared_norms,
                 return_second=return_second, parallel=parallel,
             )
         return assign_to_nearest(
-            X, self.centroids(), return_second=return_second,
-            parallel=parallel,
+            X, self.centroids(), x_squared_norms=x_squared_norms,
+            return_second=return_second, parallel=parallel,
         )
 
     def _initialize(self, X: np.ndarray, rng: np.random.Generator) -> None:
@@ -721,10 +727,19 @@ class MiniBatchKhatriRaoKMeans:
             raise ValidationError(
                 f"index must be an integer array, got dtype {index.dtype}"
             )
+        if index.dtype.kind == "u" and index.size and (
+            int(index.max()) > np.iinfo(np.int64).max
+        ):
+            raise ValidationError(
+                "index ids must fit in int64 (at most 2**63 - 1)"
+            )
         index = index.astype(np.int64, copy=False)
-        if index.size and int(index.min()) < 0:
+        # One sort answers both questions: the smallest id leads, and a
+        # repeat sits next to its twin.
+        ordered = np.sort(index)
+        if ordered.size and ordered[0] < 0:
             raise ValidationError("index ids must be non-negative")
-        if np.unique(index).size != index.size:
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValidationError("index ids must not repeat within a batch")
         return index
 
@@ -739,9 +754,10 @@ class MiniBatchKhatriRaoKMeans:
             state = self._stream_state = StreamingBounds.for_stream(
                 batch.shape[1], self.cardinalities, seed_dtype=batch.dtype
             )
-        state.observe(index, row_norms_squared(batch, parallel=parallel))
+        norms = row_norms_squared(batch, parallel=parallel)
+        state.observe(index, norms)
         labels, fraction = self._pruned_batch_labels(
-            batch, index, state, parallel
+            batch, index, state, norms, parallel
         )
         return self._finish_step(
             batch, labels, fraction, sample_weight, parallel, state
@@ -749,14 +765,15 @@ class MiniBatchKhatriRaoKMeans:
 
     def _pruned_batch_labels(
         self, batch: np.ndarray, indices: np.ndarray, state: StreamingBounds,
-        parallel=None,
+        x_squared_norms: np.ndarray, parallel=None,
     ) -> Tuple[np.ndarray, float]:
         """Batch labels with cross-step pruning, plus the re-score fraction.
 
         Sampled points whose telescoped bounds certify the cached label keep
         it; never-seen or stale points run the exact factored top-2 argmin
-        and re-anchor their bounds.  Identical labels to assigning the whole
-        batch from scratch.
+        (on their rows of the batch's ``x_squared_norms``) and re-anchor
+        their bounds.  Identical labels to assigning the whole batch from
+        scratch.
         """
         settled = state.settled(indices)
         labels = np.empty(indices.size, dtype=np.int64)
@@ -765,7 +782,8 @@ class MiniBatchKhatriRaoKMeans:
         if stale.any():
             sub = indices[stale]
             new_labels, d1, d2 = self._assign(
-                batch[stale], return_second=True, parallel=parallel
+                batch[stale], return_second=True, parallel=parallel,
+                x_squared_norms=x_squared_norms[stale],
             )
             labels[stale] = new_labels
             state.record(sub, new_labels, d1, d2)
@@ -783,11 +801,7 @@ class MiniBatchKhatriRaoKMeans:
         and unpruned streams with identical labels publish identical
         inertia by construction.
         """
-        set_indices = np.unravel_index(labels, self.cardinalities)
-        rows = self.aggregator.combine([
-            theta[idx]
-            for theta, idx in zip(self.protocentroids_, set_indices)
-        ])
+        rows = khatri_rao_rows(self.protocentroids_, labels, self.aggregator)
         diff = batch.astype(np.float64, copy=False) - rows.astype(
             np.float64, copy=False
         )
@@ -878,28 +892,33 @@ class MiniBatchKhatriRaoKMeans:
             [np.zeros(h) for h in self.cardinalities] if collect_drift else None
         )
         # The batch's Proposition 6.1 statistics — thetas moves in place per
-        # set, matching the batch estimators' Gauss-Seidel sweep.
+        # set, matching the batch estimators' Gauss-Seidel sweep.  A set's
+        # protocentroids with batch mass move together, one array op per
+        # stage, each element in the per-protocentroid op order and dtypes
+        # (docs/numerics.md §2.4); the shifts add up in that order too.
         for q, numerator, denominator, batch_counts in set_statistics(
             batch, thetas, set_labels, self.aggregator, sample_weight,
             self.uses_factored_update, parallel,
         ):
-            for j in np.flatnonzero(batch_counts > 0):
-                if denominator is not None:
-                    safe = denominator[j] > _EPSILON
-                    target = thetas[q][j].copy()
-                    target[safe] = numerator[j][safe] / denominator[j][safe]
-                else:
-                    target = numerator[j] / batch_counts[j]
-                # Mini-batch schedule: learning rate decays with the total
-                # number of points this protocentroid has absorbed.
-                self._counts[q][j] += batch_counts[j]
-                eta = batch_counts[j] / self._counts[q][j]
-                updated = (1.0 - eta) * thetas[q][j] + eta * target
-                step_shift = float(np.sum(
-                    (updated - thetas[q][j]) ** 2, dtype=np.float64
-                ))
+            js = np.flatnonzero(batch_counts > 0)
+            current = thetas[q][js]
+            if denominator is not None:
+                # The quotient lands in a copy of θ (its dtype) where the
+                # denominator is safe; elsewhere the target stays at θ.
+                target = current.copy()
+                np.divide(numerator[js], denominator[js], out=target,
+                          where=denominator[js] > _EPSILON)
+            else:
+                target = numerator[js] / batch_counts[js, None]
+            # Mini-batch schedule: learning rate decays with the total
+            # number of points this protocentroid has absorbed.
+            self._counts[q][js] += batch_counts[js]
+            eta = (batch_counts[js] / self._counts[q][js])[:, None]
+            updated = (1.0 - eta) * current + eta * target
+            shifts = ((updated - current) ** 2).sum(axis=1, dtype=np.float64)
+            for step_shift in shifts.tolist():
                 total_shift += step_shift
-                if collect_drift:
-                    drift_tables[q][j] = np.sqrt(step_shift)
-                thetas[q][j] = updated
+            if collect_drift:
+                drift_tables[q][js] = np.sqrt(shifts)
+            thetas[q][js] = updated
         return total_shift, drift_tables

@@ -33,6 +33,7 @@ from .khatri_rao import (
     flat_to_tuple,
     khatri_rao_combine,
     khatri_rao_product,
+    khatri_rao_rows,
     num_combinations,
     tuple_to_flat,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "resolve_working_dtype",
     "khatri_rao_combine",
     "khatri_rao_product",
+    "khatri_rao_rows",
     "num_combinations",
     "tuple_to_flat",
     "flat_to_tuple",

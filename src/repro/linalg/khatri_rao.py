@@ -27,6 +27,7 @@ from .aggregators import get_aggregator
 __all__ = [
     "khatri_rao_combine",
     "khatri_rao_product",
+    "khatri_rao_rows",
     "num_combinations",
     "tuple_to_flat",
     "flat_to_tuple",
@@ -146,6 +147,37 @@ def khatri_rao_combine(
         combined = agg.pair(result[:, None, :], mat[None, :, :])
         result = combined.reshape(-1, feature_dim)
     return result
+
+
+def khatri_rao_rows(
+    thetas: Sequence[np.ndarray],
+    labels: np.ndarray,
+    aggregator: "Aggregator | str" = "sum",
+) -> np.ndarray:
+    """The combined centroid of each flat label: ``combine(thetas)[labels]``.
+
+    When the grid has no more rows than ``labels`` it is materialized
+    once and gathered from; otherwise each set is gathered by its
+    per-set index and the parts are combined.  Both paths pair the sets
+    left to right with ``⊕`` (``((θ₁ ⊕ θ₂) ⊕ θ₃)``) on the same operands,
+    so they return the same bits; the rule only keeps the grid no larger
+    than the output.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> a = np.array([[0.0], [1.0]])
+    >>> b = np.array([[10.0], [20.0], [30.0]])
+    >>> khatri_rao_rows([a, b], np.array([5, 0]), "sum").ravel().tolist()
+    [31.0, 10.0]
+    """
+    agg = get_aggregator(aggregator)
+    labels = np.asarray(labels)
+    cardinalities = tuple(theta.shape[0] for theta in thetas)
+    if int_prod(cardinalities) <= labels.size:
+        return khatri_rao_combine(thetas, agg)[labels]
+    set_indices = np.unravel_index(labels, cardinalities)
+    return agg.combine([theta[idx] for theta, idx in zip(thetas, set_indices)])
 
 
 def khatri_rao_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -124,6 +124,20 @@ class TestIdentityViolations:
         with pytest.raises(ValidationError, match=message):
             model.partial_fit(batch, index=bad_index)
 
+    def test_uint64_ids_past_int64_are_rejected_as_too_large(self):
+        # 2**63 wraps to a negative int64; the error must name the range.
+        model = MiniBatchKhatriRaoKMeans((2, 2), random_state=0)
+        batch = np.random.default_rng(0).normal(size=(2, 2))
+        with pytest.raises(ValidationError, match="fit in int64"):
+            model.partial_fit(batch, index=np.array([2 ** 63, 1], dtype=np.uint64))
+
+    def test_uint64_ids_in_range_stream_like_int64(self):
+        batches = stream_batches(n_batches=4)
+        as_uint = [(batch, idx.astype(np.uint64)) for batch, idx in batches]
+        _, want = run_stream(batches, use_index=True)
+        _, got = run_stream(as_uint, use_index=True)
+        assert got == want
+
 
 class TestFractionContract:
     """``reassignment_fractions_`` is None iff pruning is off; otherwise
