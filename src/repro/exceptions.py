@@ -14,7 +14,17 @@ class ReproError(Exception):
 
 
 class ValidationError(ReproError, ValueError):
-    """An input (array, parameter, configuration) failed validation."""
+    """An input (array, parameter, configuration) failed validation.
+
+    :attr:`field`, when given, names the offending field (an archive
+    member, a header key) and is appended to the message.
+    """
+
+    def __init__(self, message: str, *, field: str = None):
+        if field is not None:
+            message = f"{message} (field: {field!r})"
+        super().__init__(message)
+        self.field = field
 
 
 class SummaryFormatError(ValidationError):
@@ -29,12 +39,6 @@ class SummaryFormatError(ValidationError):
     pre-existing ``except ValidationError`` call sites keep working.
     """
 
-    def __init__(self, message: str, *, field: str = None):
-        if field is not None:
-            message = f"{message} (field: {field!r})"
-        super().__init__(message)
-        self.field = field
-
 
 class CheckpointError(ValidationError):
     """A training checkpoint is malformed or inconsistent with the run.
@@ -47,12 +51,6 @@ class CheckpointError(ValidationError):
     different model.  Subclasses :class:`ValidationError` so blanket
     ``except ValidationError`` call sites keep working.
     """
-
-    def __init__(self, message: str, *, field: str = None):
-        if field is not None:
-            message = f"{message} (field: {field!r})"
-        super().__init__(message)
-        self.field = field
 
 
 class NotFittedError(ReproError, RuntimeError):

@@ -27,8 +27,8 @@ Vocabulary (one :class:`Fault` per injection-point call):
 Injection points, one per subsystem:
 
 * serving — the batcher's ``fault_hook``
-  (:class:`repro.serving.faults.FaultInjector`, which re-exports this
-  module's vocabulary for back-compat);
+  (:class:`repro.serving.faults.FaultInjector`, which binds this
+  module's schedules to it);
 * training loops — the estimators' per-iteration ``callback`` knob,
   via :class:`FaultHook`, on the sequential and the ``n_jobs`` restart
   sweep alike (for faults pinned to one restart under ``n_jobs``,

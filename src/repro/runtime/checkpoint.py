@@ -28,6 +28,10 @@ snapshot) containing:
 :meth:`read_checkpoint` verifies the digests and every structural
 invariant before anything reaches an estimator; all failures are
 :class:`~repro.exceptions.CheckpointError` naming the offending field.
+
+The same envelope carries stream/monitor snapshots, golden scenarios and
+:class:`~repro.summary.DataSummary` archives; summaries differ only in
+their error type and in accepting legacy archives without digests.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -226,66 +230,67 @@ def write_checkpoint(
     return path
 
 
-def read_checkpoint(path: Union[str, Path]) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Load and verify a snapshot written by :func:`write_checkpoint`.
+def read_checkpoint(
+    path: Union[str, Path],
+    *,
+    error: Type[ValidationError] = CheckpointError,
+    require_digests: bool = True,
+) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Load and verify an archive written by :func:`write_checkpoint`.
 
     Every malformed-archive shape — unreadable zip, missing/unparseable
     header, unsupported version, missing arrays, content-digest mismatch
-    — raises :class:`~repro.exceptions.CheckpointError` naming the
-    offending field.  Returns ``(header, arrays)`` with arrays fully
-    materialized (the archive handle is closed on return).
+    — raises ``error`` naming the offending field.  Every digest the
+    header names is verified; ``require_digests=False`` also accepts a
+    header without any (legacy summaries).  Returns ``(header, arrays)``
+    with every other member materialized (the archive is closed).
     """
     path = Path(path)
     try:
-        archive_ctx = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
     except FileNotFoundError:
         raise
     except Exception as exc:  # zipfile.BadZipFile, OSError, ValueError, ...
-        raise CheckpointError(
-            f"{path} is not a readable checkpoint archive: {exc}"
+        raise error(f"{path} is not a readable .npz archive: {exc}") from exc
+    if "header" not in arrays:
+        raise error(f"{path} has no header member", field="header")
+    try:
+        header = json.loads(bytes(arrays.pop("header")).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(
+            f"{path} has an unparseable header: {exc}", field="header"
         ) from exc
-    with archive_ctx as archive:
-        if "header" not in archive.files:
-            raise CheckpointError(
-                f"{path} is not a training checkpoint", field="header"
+    if not isinstance(header, dict):
+        raise error(
+            f"{path} header must be a JSON object, got "
+            f"{type(header).__name__}", field="header",
+        )
+    if header.get("format_version") != _FORMAT_VERSION:
+        raise error(
+            f"unsupported archive format {header.get('format_version')!r}",
+            field="format_version",
+        )
+    checksums = header.get("checksums")
+    if checksums is None and not require_digests:
+        checksums = {}
+    if not isinstance(checksums, dict):
+        raise error(
+            f"{path} header checksums must be a JSON object of content "
+            f"digests, got {type(checksums).__name__}", field="checksum",
+        )
+    for key, digest in checksums.items():
+        if key not in arrays:
+            raise error(
+                f"{path} is missing array {key!r} named by the header",
+                field=key,
             )
-        try:
-            header = json.loads(bytes(archive["header"]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"{path} has an unparseable header: {exc}", field="header"
-            ) from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(
-                f"{path} header must be a JSON object, got "
-                f"{type(header).__name__}", field="header",
+        if array_digest(arrays[key]) != digest:
+            raise error(
+                f"{path}: array {key!r} fails its SHA-256 content digest — "
+                "the archive is corrupt", field="checksum",
             )
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format "
-                f"{header.get('format_version')!r}", field="format_version",
-            )
-        checksums = header.get("checksums")
-        if not isinstance(checksums, dict):
-            raise CheckpointError(
-                f"{path} header carries no content digests", field="checksums"
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        for key, digest in checksums.items():
-            if key not in archive.files:
-                raise CheckpointError(
-                    f"{path} is missing state array {key!r} named by the "
-                    f"header", field=key,
-                )
-            a = archive[key]
-            if array_digest(a) != digest:
-                raise CheckpointError(
-                    f"{path}: state array {key!r} fails its SHA-256 content "
-                    "digest — the snapshot is corrupt; delete it and resume "
-                    "from an older one", field="checksum",
-                )
-            arrays[key] = a
-        return header, arrays
+    return header, arrays
 
 
 def check_header_fields(header: Dict, expected: Dict, *, path) -> None:

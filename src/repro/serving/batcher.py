@@ -77,6 +77,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .._validation import check_positive_int
 from ..exceptions import (
     BatcherStoppedError,
     DeadlineExceededError,
@@ -449,8 +450,8 @@ class MicroBatcher:
         """
         if op not in OPS:
             raise ValidationError(f"op must be one of {OPS}, got {op!r}")
-        if op == "refine" and int(n_steps) < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+        if op == "refine":
+            n_steps = check_positive_int(n_steps, "n_steps")
         # Resolve the model eagerly: an unknown name should fail the caller
         # now (HTTP 404), not poison a batch later.
         self.registry.get(model_name)
@@ -458,7 +459,7 @@ class MicroBatcher:
             self.breakers.check((model_name, op))
         raw = np.asarray(rows)
         n_rows = int(raw.shape[0]) if raw.ndim >= 1 else 1
-        key: _Key = (model_name, op, int(n_steps) if op == "refine" else None)
+        key: _Key = (model_name, op, n_steps if op == "refine" else None)
         ticket = Ticket(op, n_rows, time.monotonic(), deadline)
         pending = _Pending(raw, sample_weight, ticket)
         retry_after = max(self.window_s, 0.05)

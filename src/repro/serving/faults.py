@@ -1,11 +1,12 @@
 """Deterministic fault injection for the serving resilience layer.
 
-The fault *vocabulary* — :class:`Fault`, :class:`FaultSchedule`,
-:class:`InjectedKernelError`, :class:`WorkerKill` — lives in
-:mod:`repro.faults`, the fault plane shared with the training runtime,
-and is re-exported here unchanged so pre-existing imports keep working.
-What stays serving-specific is :class:`FaultInjector`: the binding of
-schedules to the batcher's ``fault_hook``.
+The fault *vocabulary* — :class:`~repro.faults.Fault`,
+:class:`~repro.faults.FaultSchedule`,
+:class:`~repro.faults.InjectedKernelError`,
+:class:`~repro.faults.WorkerKill` — lives in :mod:`repro.faults`, the
+fault plane shared with the training runtime; import it from there.
+What is serving-specific lives here: :class:`FaultInjector`, the binding
+of schedules to the batcher's ``fault_hook``.
 
 The injection point is the batcher's ``fault_hook`` — a callable the
 worker invokes at the top of every batch execution, *before* the model
@@ -25,15 +26,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..faults import Fault, FaultSchedule, InjectedKernelError, WorkerKill
+from ..faults import Fault, FaultSchedule
 
-__all__ = [
-    "Fault",
-    "FaultInjector",
-    "FaultSchedule",
-    "InjectedKernelError",
-    "WorkerKill",
-]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:

@@ -322,10 +322,6 @@ class _Handler(BaseHTTPRequestHandler):
         kwargs = {}
         if op == "refine":
             kwargs["n_steps"] = body.get("n_steps", 1)
-            if not isinstance(kwargs["n_steps"], int):
-                raise ValidationError(
-                    f"n_steps must be an integer, got {kwargs['n_steps']!r}"
-                )
             if body.get("sample_weight") is not None:
                 kwargs["sample_weight"] = body["sample_weight"]
         ticket = self.server.batcher.submit(

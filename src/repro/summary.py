@@ -2,8 +2,10 @@
 
 Data summarization is about *shipping a small object instead of the data*.
 :class:`DataSummary` is that object: protocentroid sets (or plain
-centroids), the aggregator and metadata, with save/load to ``.npz``,
-centroid reconstruction, assignment of new data and a compression report.
+centroids), the aggregator and metadata, with save/load to ``.npz``
+through the envelope training checkpoints use
+(:mod:`repro.runtime.checkpoint`), centroid reconstruction, assignment of
+new data and a compression report.
 Any fitted model from :mod:`repro.core` exports one through
 :func:`summarize`.
 
@@ -23,7 +25,6 @@ Examples
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -31,9 +32,11 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ._validation import (
+    SUPPORTED_DTYPES,
     as_float_array,
     check_array,
     check_dtype,
+    check_positive_int,
     check_random_state,
     int_prod,
 )
@@ -43,11 +46,9 @@ from .core._update import resolve_update, update_protocentroids
 from .core.kmeans import _check_sample_weight
 from .exceptions import SummaryFormatError, ValidationError
 from .linalg import get_aggregator, khatri_rao_combine
-from .runtime.checkpoint import array_digest
+from .runtime.checkpoint import read_checkpoint, write_checkpoint
 
 __all__ = ["DataSummary", "summarize"]
-
-_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -78,17 +79,17 @@ class DataSummary:
         self.protocentroids = [
             as_float_array(theta) for theta in self.protocentroids
         ]
-        m = self.protocentroids[0].shape[1]
-        dtype = self.protocentroids[0].dtype
         for q, theta in enumerate(self.protocentroids):
-            if theta.ndim != 2 or theta.shape[1] != m:
+            _check_set(q, theta)
+            if theta.shape[1] != self.n_features:
                 raise ValidationError(
-                    f"protocentroid set {q} has shape {theta.shape}, expected (*, {m})"
+                    f"protocentroid set {q} has shape {theta.shape}, "
+                    f"expected (*, {self.n_features})"
                 )
-            if theta.dtype != dtype:
+            if theta.dtype != self.dtype:
                 raise ValidationError(
                     f"protocentroid set {q} has dtype {theta.dtype}, but set 0 "
-                    f"has {dtype}; cast the sets consistently (see astype)"
+                    f"has {self.dtype}; cast the sets consistently (see astype)"
                 )
         get_aggregator(self.aggregator_name)  # validate eagerly
 
@@ -229,6 +230,7 @@ class DataSummary:
         random_state : None, int or Generator
             Source of empty-protocentroid reseed draws.
         """
+        n_steps = check_positive_int(n_steps, "n_steps")
         X = self._check_features(X)
         aggregator = get_aggregator(self.aggregator_name)
         factored = resolve_update(update, aggregator)
@@ -237,7 +239,7 @@ class DataSummary:
             sample_weight = _check_sample_weight(
                 sample_weight, X.shape[0], dtype=X.dtype
             )
-        for _ in range(int(n_steps)):
+        for _ in range(n_steps):
             labels, _ = self._nearest(X)
             set_labels = np.stack(
                 np.unravel_index(labels, self.cardinalities), axis=1
@@ -266,15 +268,14 @@ class DataSummary:
 
     # ---------------------------------------------------------- persistence
     def save(self, path: Union[str, Path], *, fault_hook=None) -> Path:
-        """Serialize to a ``.npz`` file atomically; returns the written path.
+        """Serialize to a ``.npz`` archive atomically; returns the written path.
 
-        The archive is written to a ``.tmp`` sibling and moved into place
-        with :func:`os.replace`, so a crash mid-save never leaves a torn
-        archive at ``path`` — either the previous file survives intact or
-        the new one is complete.  The header embeds a SHA-256 digest of
-        every protocentroid set, which :meth:`load` verifies; a bit-flipped
-        or truncated-then-patched archive fails typed instead of serving
-        corrupt centroids.
+        The archive goes through the checkpoint envelope
+        (:func:`~repro.runtime.checkpoint.write_checkpoint`): it is written
+        to a ``.tmp`` sibling and renamed into place, so a crash mid-save
+        never leaves a torn archive at ``path``, and the header carries a
+        content digest of every protocentroid set, which :meth:`load`
+        verifies.  A ``.npz`` suffix is appended to ``path`` when missing.
 
         ``fault_hook``, if given, is called with a stage name (``"write"``
         before the bytes go out, ``"replace"`` before the atomic rename)
@@ -282,194 +283,114 @@ class DataSummary:
         artifact-integrity chaos tests drive.
         """
         path = Path(path)
-        # np.savez appends .npz to bare *filenames*; we resolve the final
-        # name up front because the atomic rename needs to know it.
         final = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-        arrays = {
-            f"protocentroids_{q}": theta
-            for q, theta in enumerate(self.protocentroids)
-        }
         # cardinalities/n_features/dtype are redundant with the arrays on
         # purpose: load() cross-checks them so a corrupted or hand-edited
         # archive fails with the offending field named instead of producing
         # a summary whose shape silently disagrees with what was saved.
-        header = json.dumps(
-            {
-                "format_version": _FORMAT_VERSION,
-                "aggregator": self.aggregator_name,
-                "num_sets": len(self.protocentroids),
-                "cardinalities": list(self.cardinalities),
-                "n_features": self.n_features,
-                "dtype": self.dtype.name,
-                "metadata": self.metadata,
-                "checksums": {key: array_digest(a) for key, a in arrays.items()},
-            }
-        )
-        tmp = final.with_name(final.name + ".tmp")
-        try:
-            if fault_hook is not None:
-                fault_hook("write")
-            with open(tmp, "wb") as handle:
-                np.savez(
-                    handle,
-                    header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                    **arrays,
-                )
-                handle.flush()
-                os.fsync(handle.fileno())
-            if fault_hook is not None:
-                fault_hook("replace")
-            os.replace(tmp, final)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        return final
+        header = {
+            "aggregator": self.aggregator_name,
+            "num_sets": len(self.protocentroids),
+            "cardinalities": list(self.cardinalities),
+            "n_features": self.n_features,
+            "dtype": self.dtype.name,
+            "metadata": self.metadata,
+        }
+        arrays = {
+            f"protocentroids_{q}": theta
+            for q, theta in enumerate(self.protocentroids)
+        }
+        return write_checkpoint(final, header, arrays, fault_hook=fault_hook)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DataSummary":
         """Load a summary written by :meth:`save`.
 
-        A malformed archive — truncated file, missing keys, wrong dtypes,
+        The checkpoint envelope
+        (:func:`~repro.runtime.checkpoint.read_checkpoint`) checks the
+        archive, its header and format version, and every content digest
+        the header names; archives written before digests existed load
+        unverified.  This method then checks the summary schema.  Any
+        malformed archive — truncated file, missing keys, wrong dtypes,
         cardinalities that contradict the header — raises
         :class:`~repro.exceptions.SummaryFormatError` with the offending
         field named, never a bare ``KeyError``/``ValueError`` out of the
         ``.npz`` machinery.  This is the loader the serving registry trusts
         with operator-supplied files.
         """
-        path = Path(path)
-        try:
-            archive_ctx = np.load(path)
-        except FileNotFoundError:
-            raise
-        except Exception as exc:  # zipfile.BadZipFile, OSError, ValueError, ...
+        header, arrays = read_checkpoint(
+            path, error=SummaryFormatError, require_digests=False
+        )
+        num_sets = header.get("num_sets")
+        if not isinstance(num_sets, int) or num_sets < 1:
             raise SummaryFormatError(
-                f"{path} is not a readable .npz archive: {exc}"
-            ) from exc
-        with archive_ctx as archive:
-            if "header" not in archive.files:
+                f"num_sets must be a positive integer, got {num_sets!r}",
+                field="num_sets",
+            )
+        aggregator = header.get("aggregator")
+        if not isinstance(aggregator, str):
+            raise SummaryFormatError(
+                f"aggregator must be a string, got {aggregator!r}",
+                field="aggregator",
+            )
+        metadata = header.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise SummaryFormatError(
+                f"metadata must be a JSON object, got "
+                f"{type(metadata).__name__}", field="metadata",
+            )
+
+        protocentroids = []
+        for q in range(num_sets):
+            key = f"protocentroids_{q}"
+            if key not in arrays:
                 raise SummaryFormatError(
-                    f"{path} is not a DataSummary archive", field="header"
+                    f"{path} is missing protocentroid set {q} "
+                    f"(header says num_sets={num_sets})", field=key,
                 )
-            try:
-                header = json.loads(bytes(archive["header"]).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            _check_set(q, arrays[key], SummaryFormatError)
+            protocentroids.append(arrays[key])
+
+        # Cross-check the redundant header fields (absent in older
+        # archives, which skip this).
+        stored = {
+            "cardinalities": [theta.shape[0] for theta in protocentroids],
+            "n_features": protocentroids[0].shape[1],
+            "dtype": protocentroids[0].dtype.name,
+        }
+        for name, value in stored.items():
+            if name in header and header[name] != value:
                 raise SummaryFormatError(
-                    f"{path} has an unparseable header: {exc}", field="header"
-                ) from exc
-            if not isinstance(header, dict):
-                raise SummaryFormatError(
-                    f"{path} header must be a JSON object, got "
-                    f"{type(header).__name__}", field="header",
-                )
-            if header.get("format_version") != _FORMAT_VERSION:
-                raise SummaryFormatError(
-                    f"unsupported summary format "
-                    f"{header.get('format_version')!r}", field="format_version",
-                )
-            num_sets = header.get("num_sets")
-            if not isinstance(num_sets, int) or num_sets < 1:
-                raise SummaryFormatError(
-                    f"num_sets must be a positive integer, got {num_sets!r}",
-                    field="num_sets",
-                )
-            aggregator = header.get("aggregator")
-            if not isinstance(aggregator, str):
-                raise SummaryFormatError(
-                    f"aggregator must be a string, got {aggregator!r}",
-                    field="aggregator",
-                )
-            metadata = header.get("metadata", {})
-            if not isinstance(metadata, dict):
-                raise SummaryFormatError(
-                    f"metadata must be a JSON object, got "
-                    f"{type(metadata).__name__}", field="metadata",
+                    f"{path} header declares {name} {header[name]!r} but "
+                    f"the stored sets have {value!r}", field=name,
                 )
 
-            protocentroids = []
-            for q in range(num_sets):
-                key = f"protocentroids_{q}"
-                if key not in archive.files:
-                    raise SummaryFormatError(
-                        f"{path} is missing protocentroid set {q} "
-                        f"(header says num_sets={num_sets})", field=key,
-                    )
-                theta = archive[key]
-                if theta.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-                    raise SummaryFormatError(
-                        f"protocentroid set {q} has dtype {theta.dtype}, "
-                        "expected float32 or float64", field=key,
-                    )
-                if theta.ndim != 2 or theta.shape[0] < 1 or theta.shape[1] < 1:
-                    raise SummaryFormatError(
-                        f"protocentroid set {q} has shape {theta.shape}, "
-                        "expected a non-empty 2-D array", field=key,
-                    )
-                protocentroids.append(theta)
+        try:
+            return cls(
+                protocentroids=protocentroids,
+                aggregator_name=aggregator,
+                metadata=metadata,
+            )
+        except ValidationError as exc:
+            # e.g. sets disagreeing on n_features / dtype, or an
+            # unknown aggregator: re-raise typed, pointing at the file.
+            raise SummaryFormatError(f"{path}: {exc}") from exc
 
-            # Content-integrity check: archives written by save() carry a
-            # SHA-256 digest per set.  Older archives without the field
-            # skip verification (back-compat), but a present-and-wrong
-            # digest is always a hard typed failure — never serve silently
-            # corrupt centroids.
-            checksums = header.get("checksums")
-            if checksums is not None:
-                if not isinstance(checksums, dict):
-                    raise SummaryFormatError(
-                        f"{path} header checksums must be a JSON object, got "
-                        f"{type(checksums).__name__}", field="checksum",
-                    )
-                for q, theta in enumerate(protocentroids):
-                    key = f"protocentroids_{q}"
-                    if checksums.get(key) != array_digest(theta):
-                        raise SummaryFormatError(
-                            f"{path}: SHA-256 digest mismatch for {key} — "
-                            "the archive content is corrupt", field="checksum",
-                        )
 
-            # Cross-check the redundant header fields (written since they
-            # were introduced; absent in older archives, which skip this).
-            cls._check_header_consistency(path, header, protocentroids)
-
-            try:
-                return cls(
-                    protocentroids=protocentroids,
-                    aggregator_name=aggregator,
-                    metadata=metadata,
-                )
-            except SummaryFormatError:
-                raise
-            except ValidationError as exc:
-                # e.g. sets disagreeing on n_features / dtype, or an
-                # unknown aggregator: re-raise typed, pointing at the file.
-                raise SummaryFormatError(f"{path}: {exc}") from exc
-
-    @staticmethod
-    def _check_header_consistency(path, header, protocentroids) -> None:
-        """Raise :class:`SummaryFormatError` if header and arrays disagree."""
-        cards = tuple(theta.shape[0] for theta in protocentroids)
-        if "cardinalities" in header:
-            declared = header["cardinalities"]
-            if not (
-                isinstance(declared, list) and tuple(declared) == cards
-            ):
-                raise SummaryFormatError(
-                    f"{path} header declares cardinalities {declared!r} but "
-                    f"the stored sets have {cards}", field="cardinalities",
-                )
-        if "n_features" in header:
-            m = protocentroids[0].shape[1]
-            if header["n_features"] != m:
-                raise SummaryFormatError(
-                    f"{path} header declares n_features={header['n_features']!r} "
-                    f"but set 0 stores {m} features", field="n_features",
-                )
-        if "dtype" in header:
-            stored = protocentroids[0].dtype.name
-            if header["dtype"] != stored:
-                raise SummaryFormatError(
-                    f"{path} header declares dtype {header['dtype']!r} but "
-                    f"the stored sets are {stored}", field="dtype",
-                )
+def _check_set(q: int, theta: np.ndarray, error=ValidationError) -> None:
+    """Raise ``error`` naming ``protocentroids_<q>`` unless ``theta`` is a
+    non-empty 2-D float32/float64 array."""
+    key = f"protocentroids_{q}"
+    if theta.dtype not in SUPPORTED_DTYPES:
+        raise error(
+            f"protocentroid set {q} has dtype {theta.dtype}, "
+            "expected float32 or float64", field=key,
+        )
+    if theta.ndim != 2 or 0 in theta.shape:
+        raise error(
+            f"protocentroid set {q} has shape {theta.shape}, "
+            "expected a non-empty 2-D array", field=key,
+        )
 
 
 def summarize(model, *, metadata: Optional[Dict] = None) -> DataSummary:

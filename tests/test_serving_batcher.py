@@ -319,3 +319,11 @@ def test_knob_validation(registry):
         MicroBatcher(registry, start=False).submit(
             "refine", "m", np.ones((1, 2)), n_steps=0
         )
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 1.5, True])
+def test_refine_n_steps_validation(registry, n_steps):
+    batcher = MicroBatcher(registry, start=False)
+    with pytest.raises(ValidationError, match="n_steps"):
+        batcher.submit("refine", "m", np.ones((1, 2)), n_steps=n_steps)
+    assert batcher.pending_rows == 0

@@ -186,6 +186,17 @@ class TestErrorMapping:
         assert status == 400
         assert "rows" in body["error"]["message"]
 
+    @pytest.mark.parametrize("n_steps", [0, -1, 1.5, True])
+    def test_bad_n_steps_400(self, server, data_and_summary, n_steps):
+        X, _ = data_and_summary
+        status, _, body = post_error(
+            server, "/v1/models/blobs/refine",
+            {"rows": X[:4].tolist(), "n_steps": n_steps},
+        )
+        assert status == 400
+        assert body["error"]["type"] == "ValidationError"
+        assert "n_steps" in body["error"]["message"]
+
     def test_malformed_json_400(self, server):
         req = urllib.request.Request(
             server.url + "/v1/models/blobs/assign",

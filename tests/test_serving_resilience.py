@@ -28,6 +28,7 @@ from repro.exceptions import (
     OverloadedError,
     WorkerCrashedError,
 )
+from repro.faults import FaultSchedule, InjectedKernelError
 from repro.serving import (
     BreakerBoard,
     CircuitBreaker,
@@ -38,11 +39,7 @@ from repro.serving import (
     Watchdog,
     create_server,
 )
-from repro.serving.faults import (
-    FaultInjector,
-    FaultSchedule,
-    InjectedKernelError,
-)
+from repro.serving.faults import FaultInjector
 
 # Injected WorkerKill faults die on the worker thread *by design* — that
 # is the scenario under test, not an accident to warn about.
