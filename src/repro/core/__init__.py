@@ -10,12 +10,17 @@
 * BIC-based model selection (:mod:`repro.core.model_selection`);
 * :func:`assign_factored` — the factored assignment kernel that exploits
   Khatri-Rao structure to skip centroid materialization (Section 6,
-  "Complexity");
+  "Complexity"); ``_factored.assign_khatri_rao`` is the one assignment
+  dispatch of every consumer (estimators, ``DataSummary``, federated
+  clients): this kernel when the aggregator decomposes, else the
+  materialized grid, whole or in chunks (Appendix B);
 * :func:`update_factored` / :func:`update_gather` — the closed-form
   protocentroid update kernels (:mod:`repro.core._update`): the
   contingency-table form that kills the per-set ``(n, m)`` rest gather for
   decomposable aggregators, and the reference gather arithmetic (the
-  estimators' ``update`` knob);
+  estimators' ``update`` knob); their per-set statistics
+  (``_update.set_statistics``) also feed the mini-batch step and the
+  federated client reports;
 * Hamerly bound pruning (:mod:`repro.core._bounds`) — cross-iteration
   distance bounds that restrict each Lloyd pass to the points whose labels
   could actually change (the estimators' ``pruning`` knob).

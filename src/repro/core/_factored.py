@@ -37,8 +37,11 @@ The grid keeps serving-sized requests, ``p = 1`` and small grids such as
 
 Which aggregators decompose this way is an aggregator capability
 (``supports_factored_assignment`` — see :mod:`repro.linalg.aggregators`);
-the product aggregator does not, and estimators fall back to the
-materialized path for it.
+the product aggregator does not, and falls back to the materialized grid.
+:func:`assign_khatri_rao` makes that choice, and the memory-mode choice of
+Appendix B (the whole grid, or ``chunk_size`` centroids at a time), for
+every consumer: both estimators, :class:`~repro.summary.DataSummary` and
+the federated clients.
 
 The module also hosts :func:`grouped_row_sum` and its block kernel
 :func:`one_hot_row_sum`, the one-hot sparse-product scatter reduction used
@@ -54,19 +57,22 @@ import numpy as np
 
 from .._validation import as_float_array, int_prod
 from ..exceptions import ValidationError
-from ..linalg import get_aggregator
+from ..linalg import get_aggregator, khatri_rao_combine, khatri_rao_rows
 from ._distances import (
     _chunked_argmin,
     _row_min,
     _row_second_min,
     _working_dtype,
+    assign_to_nearest,
     merge_row_block_assignments,
     row_norms_squared,
+    squared_distances,
 )
 from ..runtime.parallel import fold_blocks, map_row_blocks
 
 __all__ = [
     "assign_factored",
+    "assign_khatri_rao",
     "grouped_row_sum",
     "one_hot_row_sum",
     "resolve_assignment",
@@ -90,6 +96,64 @@ def resolve_assignment(assignment: str, aggregator) -> bool:
     if assignment == "materialized":
         return False
     return bool(get_aggregator(aggregator).supports_factored_assignment)
+
+
+def assign_khatri_rao(
+    X: np.ndarray,
+    thetas: Sequence[np.ndarray],
+    aggregator="sum",
+    *,
+    assignment: str = "auto",
+    chunk_size: int = 0,
+    x_squared_norms: Optional[np.ndarray] = None,
+    return_second: bool = False,
+    parallel=None,
+) -> Tuple[np.ndarray, ...]:
+    """Assign rows of ``X`` to their nearest Khatri-Rao centroid.
+
+    Scores through the protocentroid sets (:func:`assign_factored`) when
+    ``assignment`` resolves to the factored kernel
+    (:func:`resolve_assignment`), else against the materialized grid.
+    ``chunk_size > 0`` sweeps the grid that many centroids at a time
+    (Appendix B); the materialized sweep then builds each chunk on the
+    fly (:func:`~repro.linalg.khatri_rao_rows`), never the whole
+    ``(∏ h_q, m)`` matrix.  Other arguments and the returns are those of
+    :func:`assign_factored`.
+    """
+    agg = get_aggregator(aggregator)
+    if resolve_assignment(assignment, agg):
+        return assign_factored(
+            X, thetas, agg, chunk_size=chunk_size,
+            x_squared_norms=x_squared_norms, return_second=return_second,
+            parallel=parallel,
+        )
+    if chunk_size <= 0:
+        return assign_to_nearest(
+            X, khatri_rao_combine(thetas, agg),
+            x_squared_norms=x_squared_norms, return_second=return_second,
+            parallel=parallel,
+        )
+    k = int_prod(theta.shape[0] for theta in thetas)
+    if x_squared_norms is None:
+        x_squared_norms = row_norms_squared(X, parallel=parallel)
+
+    def _block(start, stop):
+        Xb, norms = X[start:stop], x_squared_norms[start:stop]
+        return _chunked_argmin(
+            stop - start,
+            k,
+            chunk_size,
+            lambda lo, hi: squared_distances(
+                Xb,
+                khatri_rao_rows(thetas, np.arange(lo, hi), agg),
+                x_squared_norms=norms,
+            ),
+            return_second=return_second,
+        )
+
+    return merge_row_block_assignments(
+        map_row_blocks(parallel, _block, X.shape[0]), return_second
+    )
 
 
 def assign_factored(

@@ -64,7 +64,7 @@ would pay over a bucket of ``n_j`` points (see ``docs/numerics.md``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from .._validation import as_float_array
 from ..exceptions import ValidationError
 from ..linalg import get_aggregator
 from ..runtime.parallel import fold_blocks, map_row_blocks
-from ._factored import grouped_row_sum, one_hot_row_sum
+from ._factored import one_hot_row_sum
 
 __all__ = [
     "UPDATE_MODES",
@@ -81,7 +81,7 @@ __all__ = [
     "factored_sum_numerator",
     "grouped_statistics",
     "set_statistics",
-    "sum_sufficient_statistics",
+    "store_quotient",
     "update_factored",
     "update_gather",
     "update_protocentroids",
@@ -152,7 +152,7 @@ def grouped_statistics(
     weights: Optional[np.ndarray] = None,
     parallel=None,
     *,
-    sums: bool = True,
+    sums: Union[bool, Sequence[int]] = True,
     pairs: bool = False,
 ):
     """Every set's data statistics of one update, in one row-block map.
@@ -161,7 +161,8 @@ def grouped_statistics(
     columns of ``set_labels``:
 
     * ``grouped[q]`` — ``grouped_row_sum(a_q, w·X)``, ``(h_q, m)``
-      float64 (``None`` without ``sums``);
+      float64 (``None`` without ``sums``; ``sums`` may also name the
+      sets to sum, and the others' entries are ``None``);
     * ``masses[q]`` — the weighted point mass per protocentroid,
       ``(h_q,)`` float64;
     * ``tables`` — the pairwise contingency tables of
@@ -186,6 +187,7 @@ def grouped_statistics(
     offsets = np.cumsum((0,) + cardinalities[:-1])
     bounds = offsets[1:]
     pair_list = [(q, r) for q in range(p) for r in range(q + 1, p) if pairs]
+    summed = tuple(range(p)) if sums is True else tuple(sums or ())
 
     def _block(start, stop):
         stacked = set_labels[start:stop] + offsets
@@ -194,11 +196,12 @@ def grouped_statistics(
             stacked.ravel(), weights=None if w is None else np.repeat(w, p),
             minlength=total,
         ).astype(float, copy=False)]
-        if sums:
+        if summed:
             Xb = X[start:stop]
             if w is not None:
                 Xb = Xb * np.asarray(w, dtype=X.dtype)[:, None]
-            parts.append(one_hot_row_sum(stacked, Xb, total))
+            buckets = stacked if len(summed) == p else stacked[:, summed]
+            parts.append(one_hot_row_sum(buckets, Xb, total))
         for q, r in pair_list:
             parts.append(_pair_table(
                 set_labels[start:stop, q], set_labels[start:stop, r],
@@ -209,7 +212,10 @@ def grouped_statistics(
     blocks = map_row_blocks(parallel, _block, set_labels.shape[0])
     folded = [fold_blocks(parts) for parts in zip(*blocks)]
     masses = np.split(folded.pop(0), bounds)
-    grouped = np.split(folded.pop(0), bounds) if sums else None
+    grouped = None
+    if summed:
+        split = np.split(folded.pop(0), bounds)
+        grouped = [split[q] if q in summed else None for q in range(p)]
     tables = None
     if pairs:
         tables = [[None] * p for _ in range(p)]
@@ -237,38 +243,6 @@ def factored_sum_numerator(
             continue
         numerator -= tables[q][r] @ theta
     return numerator
-
-
-def sum_sufficient_statistics(
-    X: np.ndarray,
-    thetas: Sequence[np.ndarray],
-    set_labels: np.ndarray,
-    q: int,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(numerator, mass)`` of the weighted sum update for a single set.
-
-    The standalone entry point for callers that merge statistics across data
-    shards (federated learning): each shard reports its contingency-factored
-    numerator ``grouped_row_sum(a_q, w·X) − Σ_{r≠q} C_qr @ θ_r`` and weighted
-    mass; the server sums them and divides, which is exactly the global
-    closed-form update of Proposition 6.1.
-    """
-    X = as_float_array(X)
-    cardinalities = tuple(theta.shape[0] for theta in thetas)
-    h = cardinalities[q]
-    a_q = set_labels[:, q]
-    Xw = X if weights is None else X * np.asarray(weights, dtype=X.dtype)[:, None]
-    numerator = grouped_row_sum(a_q, Xw, h)
-    for r, theta in enumerate(thetas):
-        if r == q:
-            continue
-        table = _pair_table(a_q, set_labels[:, r], h, cardinalities[r], weights)
-        # float64 C_qr against the working-dtype θ_r promotes to a float64
-        # matmul — the second documented float64 accumulation island.
-        numerator -= table @ np.asarray(theta, dtype=np.float64)
-    mass = np.bincount(a_q, weights=weights, minlength=h).astype(float, copy=False)
-    return numerator, mass
 
 
 def _group_mass(
@@ -409,34 +383,41 @@ def set_statistics(
     weights: Optional[np.ndarray] = None,
     factored: bool = False,
     parallel=None,
+    *,
+    sets: Optional[Iterable[int]] = None,
 ):
     """Sufficient statistics of one Gauss-Seidel sweep, set by set.
 
-    Yields ``(q, numerator, denominator, mass)`` for ``q = 0, 1, ...``;
-    the caller moves ``thetas[q]`` in place before asking for the next
-    set, so set ``q`` is computed against the updated sets ``r < q`` and
-    the old sets ``r > q``.  ``factored`` assembles the numerator through
-    the contingency tables (``denominator`` is ``None``: divide by
-    ``mass``); otherwise it is the grouped sums of the aggregator's
-    ``update_terms`` (:func:`_gather_sums`).  The batch update
+    Yields ``(q, numerator, denominator, mass)`` for ``q = 0, 1, ...``
+    (or for the indices in ``sets``); the caller moves ``thetas[q]`` in
+    place before asking for the next set, so set ``q`` is computed
+    against the updated sets ``r < q`` and the old sets ``r > q``.
+    ``factored`` assembles the numerator through the contingency tables
+    (``denominator`` is ``None``: divide by ``mass``); otherwise it is
+    the grouped sums of the aggregator's ``update_terms``
+    (:func:`_gather_sums`).  The batch update
     (:func:`update_protocentroids`) jumps to the quotient; the mini-batch
-    estimator steps toward it.
+    estimator steps toward it; a federated client reports one set
+    (``sets=(q,)``), which the server sums across clients before
+    dividing — the global closed-form update of Proposition 6.1.
     """
     cardinalities = tuple(theta.shape[0] for theta in thetas)
+    sets = range(len(cardinalities)) if sets is None else tuple(sets)
     # The whole data pass up front (the labels are fixed for the sweep):
-    # masses always, grouped sums and pair tables for the factored
-    # numerator.  Only the small C_qr @ θ_r terms (factored) or the rest
-    # gathers (gather) depend on the sets already moved.
+    # masses always, grouped sums (of the requested sets) and pair tables
+    # for the factored numerator.  Only the small C_qr @ θ_r terms
+    # (factored) or the rest gathers (gather) depend on the sets already
+    # moved.
     grouped, masses, tables = grouped_statistics(
         X, set_labels, cardinalities, weights, parallel,
-        sums=factored, pairs=factored,
+        sums=factored and sets, pairs=factored,
     )
     if not factored:
         w_column = (
             None if weights is None
             else np.asarray(weights, dtype=X.dtype)[:, None]
         )
-    for q in range(len(cardinalities)):
+    for q in sets:
         if factored:
             numerator = factored_sum_numerator(q, thetas, grouped[q], tables)
             denominator = None
@@ -455,15 +436,22 @@ def _sweep(X, thetas, set_labels, agg, rng, weights, factored, parallel):
     for q, numerator, denominator, mass in set_statistics(
         X, new_thetas, set_labels, agg, weights, factored, parallel
     ):
-        updated = new_thetas[q]
-        if denominator is not None:
-            safe = denominator > _EPSILON
-            updated[safe] = numerator[safe] / denominator[safe]
-        else:
-            non_empty = mass > 0
-            updated[non_empty] = numerator[non_empty] / mass[non_empty, None]
-        _reseed_empty(updated, mass, X, agg, rng, len(thetas), q)
+        store_quotient(new_thetas[q], numerator, denominator, mass)
+        _reseed_empty(new_thetas[q], mass, X, agg, rng, len(thetas), q)
     return new_thetas
+
+
+def store_quotient(theta, numerator, denominator, mass) -> None:
+    """Move ``theta`` to its closed-form update in place: ``numerator /
+    denominator`` where the elementwise denominator exceeds ``_EPSILON``,
+    else ``numerator / mass`` for every protocentroid with mass; the rest
+    keep their values."""
+    if denominator is not None:
+        safe = denominator > _EPSILON
+        theta[safe] = numerator[safe] / denominator[safe]
+    else:
+        non_empty = mass > 0
+        theta[non_empty] = numerator[non_empty] / mass[non_empty, None]
 
 
 def _gather_sums(
@@ -547,12 +535,7 @@ def _rest_contribution(
         if l != excluded_set
     ]
     if not parts:
-        shape = (set_labels.shape[0], feature_dim)
-        try:
-            return aggregator.identity(shape, dtype=thetas[0].dtype)
-        except TypeError:
-            # Pre-dtype third-party aggregators implement identity(shape)
-            # only; their float64 neutral element merely promotes the p=1
-            # rest arithmetic, which grouped accumulation re-rounds anyway.
-            return aggregator.identity(shape)
+        return aggregator.identity(
+            (set_labels.shape[0], feature_dim), dtype=thetas[0].dtype
+        )
     return aggregator.combine(parts)

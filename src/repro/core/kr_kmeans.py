@@ -100,8 +100,9 @@ from .._validation import (
 )
 from ..exceptions import NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
-from ..runtime.parallel import map_row_blocks, open_row_pool, resolve_parallel
+from ..runtime.parallel import open_row_pool, resolve_parallel
 from ..linalg import (
+    flat_to_set_labels,
     get_aggregator,
     khatri_rao_combine,
     khatri_rao_rows,
@@ -109,18 +110,8 @@ from ..linalg import (
     resolve_working_dtype,
 )
 from ._bounds import check_pruning, dense_drift, drift_inflation_from_tables
-from ._distances import (
-    _chunked_argmin,
-    assign_to_nearest,
-    merge_row_block_assignments,
-    row_norms_squared,
-    squared_distances,
-)
-from ._factored import (
-    ASSIGNMENT_MODES,
-    assign_factored,
-    resolve_assignment,
-)
+from ._distances import row_norms_squared
+from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
 from ._lloyd import fit_restarts, state_array
 from ._update import UPDATE_MODES, resolve_update, update_protocentroids
 from .kmeans import _check_sample_weight, kmeans_plus_plus_init
@@ -492,8 +483,7 @@ class KhatriRaoKMeans:
             self._check_fitted()
             labels = self.labels_
         labels = np.asarray(labels, dtype=np.int64).ravel()
-        decoded = np.unravel_index(labels, self.cardinalities)
-        return np.stack(decoded, axis=1)
+        return flat_to_set_labels(labels, self.cardinalities)
 
     # ------------------------------------------------------------ internals
     def _check_fitted(self) -> None:
@@ -535,71 +525,15 @@ class KhatriRaoKMeans:
         return_second: bool = False,
         parallel=None,
     ) -> Tuple[np.ndarray, ...]:
-        if self.uses_factored_assignment:
-            # Memory mode sweeps the tuple grid in chunks; time mode scores
-            # the whole grid at once (the partial-score matrix is the only
-            # O(n·k) allocation either way — centroids are never built).
-            return assign_factored(
-                X,
-                thetas,
-                self.aggregator,
-                chunk_size=0 if materialize else self.chunk_size,
-                x_squared_norms=x_squared_norms,
-                return_second=return_second,
-                parallel=parallel,
-            )
-        if materialize:
-            centroids = khatri_rao_combine(thetas, self.aggregator)
-            return assign_to_nearest(
-                X,
-                centroids,
-                x_squared_norms=x_squared_norms,
-                return_second=return_second,
-                parallel=parallel,
-            )
-        return self._assign_chunked(
-            X, thetas, x_squared_norms, return_second, parallel
+        # Time mode scores the whole grid at once; memory mode sweeps it in
+        # chunk_size blocks (factored partial scores, or centroids built
+        # chunk by chunk for the materialized path).
+        return assign_khatri_rao(
+            X, thetas, self.aggregator, assignment=self.assignment,
+            chunk_size=0 if materialize else self.chunk_size,
+            x_squared_norms=x_squared_norms, return_second=return_second,
+            parallel=parallel,
         )
-
-    def _assign_chunked(
-        self,
-        X: np.ndarray,
-        thetas: List[np.ndarray],
-        x_squared_norms: Optional[np.ndarray] = None,
-        return_second: bool = False,
-        parallel=None,
-    ) -> Tuple[np.ndarray, ...]:
-        # Row-block the memory-mode sweep: each block runs its own
-        # centroid-chunk argmin (rows are scored independently, so the
-        # blocked result is bit-identical at every pool width).
-        if x_squared_norms is None:
-            x_squared_norms = row_norms_squared(X, parallel=parallel)
-
-        def _block(start, stop):
-            Xb, norms = X[start:stop], x_squared_norms[start:stop]
-            return _chunked_argmin(
-                stop - start,
-                self.n_clusters,
-                self.chunk_size,
-                lambda lo, hi: squared_distances(
-                    Xb,
-                    self._materialize_chunk(thetas, lo, hi),
-                    x_squared_norms=norms,
-                ),
-                return_second=return_second,
-            )
-
-        return merge_row_block_assignments(
-            map_row_blocks(parallel, _block, X.shape[0]), return_second
-        )
-
-    def _materialize_chunk(
-        self, thetas: List[np.ndarray], start: int, stop: int
-    ) -> np.ndarray:
-        flat = np.arange(start, stop)
-        tuple_indices = np.unravel_index(flat, self.cardinalities)
-        parts = [theta[idx] for theta, idx in zip(thetas, tuple_indices)]
-        return self.aggregator.combine(parts)
 
     # -- protocentroid updates (Proposition 6.1, generalized to p sets) -----
     def _update_protocentroids(
@@ -684,14 +618,17 @@ class _KhatriRaoLloyd:
         )
 
     def _chunk_pairs(self, old, new):
-        """Old and new centroid chunks of the memory-mode sweep: the grid
-        is compared ``chunk_size`` centroids at a time, never whole."""
+        """Old and new centroid chunks: the whole grid in time mode,
+        ``chunk_size`` centroids at a time in memory mode (never whole)."""
         est = self.est
         k = est.n_clusters
-        for start in range(0, k, est.chunk_size):
-            stop = min(start + est.chunk_size, k)
-            yield (start, stop, est._materialize_chunk(old, start, stop),
-                   est._materialize_chunk(new, start, stop))
+        step = k if self.materialize else est.chunk_size
+        for start in range(0, k, step):
+            stop = min(start + step, k)
+            flat = np.arange(start, stop)
+            yield (start, stop,
+                   khatri_rao_rows(old, flat, est.aggregator),
+                   khatri_rao_rows(new, flat, est.aggregator))
 
     def shift(self, old, new):
         """Total squared centroid movement (Algorithm 1, line 20)."""
@@ -700,11 +637,6 @@ class _KhatriRaoLloyd:
             # Closed form for decomposable aggregators — O(m·Σh_q + p²·m),
             # no centroid grid in either time or memory mode.
             return agg.factored_shift(old, new)
-        if self.materialize:
-            return float(np.sum(
-                (khatri_rao_combine(new, agg) - khatri_rao_combine(old, agg)) ** 2,
-                dtype=np.float64,
-            ))
         shift = 0.0
         for _, _, old_chunk, new_chunk in self._chunk_pairs(old, new):
             shift += float(np.sum((new_chunk - old_chunk) ** 2, dtype=np.float64))
@@ -716,9 +648,9 @@ class _KhatriRaoLloyd:
         Decomposable aggregators bound all ``∏ h_q`` centroids through the
         per-set ``factored_drift`` norm tables (``Σ h_q`` numbers) — also
         in memory mode when the assignment knob forced the materialized
-        kernel.  Otherwise the exact dense ``(k,)`` movement vector: from
-        the combined grids in time mode, chunk by chunk in memory mode
-        (what ``pruning="auto"`` refuses to allocate there).
+        kernel.  Otherwise the exact dense ``(k,)`` movement vector, chunk
+        by chunk in memory mode (what ``pruning="auto"`` refuses to
+        allocate there).
         """
         agg = self.est.aggregator
         if self.est.uses_factored_assignment or (
@@ -727,14 +659,9 @@ class _KhatriRaoLloyd:
             return drift_inflation_from_tables(
                 agg.factored_drift(old, new), set_labels
             )
-        if self.materialize:
-            drift = dense_drift(
-                khatri_rao_combine(old, agg), khatri_rao_combine(new, agg)
-            )
-        else:
-            drift = np.empty(self.est.n_clusters)
-            for start, stop, old_chunk, new_chunk in self._chunk_pairs(old, new):
-                drift[start:stop] = dense_drift(old_chunk, new_chunk)
+        drift = np.empty(self.est.n_clusters)
+        for start, stop, old_chunk, new_chunk in self._chunk_pairs(old, new):
+            drift[start:stop] = dense_drift(old_chunk, new_chunk)
         assigned = drift.reshape(self.est.cardinalities)[tuple(set_labels.T)]
         return assigned, float(drift.max())
 

@@ -58,6 +58,7 @@ from ..exceptions import CheckpointError, NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
 from ..runtime.parallel import open_row_pool, resolve_parallel
 from ..linalg import (
+    flat_to_set_labels,
     get_aggregator,
     khatri_rao_combine,
     khatri_rao_rows,
@@ -65,12 +66,8 @@ from ..linalg import (
     resolve_working_dtype,
 )
 from ._bounds import StreamingBounds, check_pruning
-from ._distances import assign_to_nearest, row_norms_squared
-from ._factored import (
-    ASSIGNMENT_MODES,
-    assign_factored,
-    resolve_assignment,
-)
+from ._distances import row_norms_squared
+from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
 from ._lloyd import fingerprint, iterate, read_state, state_array, write_state
 from ._update import UPDATE_MODES, resolve_update, set_statistics
 from .kmeans import _check_sample_weight
@@ -524,14 +521,9 @@ class MiniBatchKhatriRaoKMeans:
         self, X: np.ndarray, return_second: bool = False, parallel=None,
         x_squared_norms: Optional[np.ndarray] = None,
     ):
-        if self.uses_factored_assignment:
-            return assign_factored(
-                X, self.protocentroids_, self.aggregator,
-                x_squared_norms=x_squared_norms,
-                return_second=return_second, parallel=parallel,
-            )
-        return assign_to_nearest(
-            X, self.centroids(), x_squared_norms=x_squared_norms,
+        return assign_khatri_rao(
+            X, self.protocentroids_, self.aggregator,
+            assignment=self.assignment, x_squared_norms=x_squared_norms,
             return_second=return_second, parallel=parallel,
         )
 
@@ -886,7 +878,7 @@ class MiniBatchKhatriRaoKMeans:
         grouped reductions, folded in fixed block order.
         """
         thetas = self.protocentroids_
-        set_labels = np.stack(np.unravel_index(labels, self.cardinalities), axis=1)
+        set_labels = flat_to_set_labels(labels, self.cardinalities)
         total_shift = 0.0
         drift_tables = (
             [np.zeros(h) for h in self.cardinalities] if collect_drift else None

@@ -5,14 +5,19 @@ Protocol (one round):
 1. the server broadcasts its current model — centroids for ``FkM``,
    protocentroid sets for ``KhatriRaoFkM`` — to every client
    (**the server→client communication the paper measures**);
-2. every client assigns its local shard and returns per-cluster sums and
-   counts (FkM) or per-protocentroid sufficient statistics (KR variant);
-3. the server merges the statistics into a global update — for the KR
-   variant through the same closed-form updates as Proposition 6.1, which
-   only require the aggregated sums.
+2. ``FkM``: every client runs ``local_steps`` Lloyd steps on its shard and
+   returns per-cluster sums and counts, which the server merges;
+3. ``KhatriRaoFkM``: the round runs ``local_steps`` global sweeps over the
+   sets.  For each set ``q`` in turn, every client re-assigns its shard
+   against the sets updated so far and returns set ``q``'s sufficient
+   statistics of Proposition 6.1; the server sums them and updates set
+   ``q`` in closed form before the next set.  So a round assigns every
+   shard ``local_steps · p`` times, against partly updated sets.
 
 Communication cost is accounted in bytes of working-dtype payload per
-round, matching the x-axis of Figure 10: the paper's float64 setting is
+round, matching the x-axis of Figure 10: one model broadcast per
+participating client per round — for ``KhatriRaoFkM`` the within-round
+set updates of step 3 are not charged.  The paper's float64 setting is
 the default, and the ``dtype="float32"`` knob halves the broadcast (the
 production-serving configuration).  Client-side statistics keep the
 dtype policy of the central kernels — per-point arithmetic in the working
@@ -35,10 +40,21 @@ from .._validation import (
     int_prod,
 )
 from ..core._distances import assign_to_nearest
-from ..core._factored import assign_factored, grouped_row_sum
-from ..core._update import sum_sufficient_statistics
+from ..core._factored import assign_khatri_rao
+from ..core._update import (
+    grouped_statistics,
+    resolve_update,
+    set_statistics,
+    store_quotient,
+)
+from ..core.kr_kmeans import _split_seeds
 from ..exceptions import NotFittedError, QuorumError, ValidationError
-from ..linalg import get_aggregator, khatri_rao_combine, resolve_working_dtype
+from ..linalg import (
+    flat_to_set_labels,
+    get_aggregator,
+    khatri_rao_combine,
+    resolve_working_dtype,
+)
 
 __all__ = ["FederatedKMeans", "KhatriRaoFederatedKMeans", "communication_cost_bytes"]
 
@@ -145,7 +161,7 @@ class FederatedKMeans:
         rng = check_random_state(self.random_state)
         m = datas[0].shape[1]
         centers = _sample_initial_vectors(datas, self.n_clusters, rng)
-        self.initial_inertia_ = self._global_inertia(datas, centers)
+        self.initial_inertia_ = _global_inertia(datas, centers)
         self.history_ = _History()
         cumulative_bytes = 0
         for round_index in range(self.n_rounds):
@@ -166,17 +182,19 @@ class FederatedKMeans:
             for X in (datas[int(ci)] for ci in participants):
                 client_centers = centers.copy()
                 for _ in range(self.local_steps):
-                    labels, _ = assign_to_nearest(X, client_centers)
-                    client_sums = grouped_row_sum(labels, X, self.n_clusters)
-                    client_counts = np.bincount(labels, minlength=self.n_clusters)
+                    client_sums, client_counts = self._client_report(
+                        X, client_centers
+                    )
                     non_empty = client_counts > 0
                     client_centers[non_empty] = (
                         client_sums[non_empty] / client_counts[non_empty, None]
                     )
                 # Client report: statistics under the final local assignment.
-                labels, _ = assign_to_nearest(X, client_centers)
-                sums += grouped_row_sum(labels, X, self.n_clusters)
-                counts += np.bincount(labels, minlength=self.n_clusters)
+                client_sums, client_counts = self._client_report(
+                    X, client_centers
+                )
+                sums += client_sums
+                counts += client_counts
             non_empty = counts > 0
             centers[non_empty] = sums[non_empty] / counts[non_empty, None]
             empty = np.flatnonzero(~non_empty)
@@ -185,7 +203,7 @@ class FederatedKMeans:
                 # a dropped client's data is unreachable by the server.
                 donor = datas[int(participants[int(rng.integers(participants.size))])]
                 centers[empty] = donor[rng.choice(donor.shape[0], size=empty.size)]
-            self.history_.inertia.append(self._global_inertia(datas, centers))
+            self.history_.inertia.append(_global_inertia(datas, centers))
             self.history_.communication_bytes.append(cumulative_bytes)
         self.cluster_centers_ = centers
         return self
@@ -203,31 +221,32 @@ class FederatedKMeans:
         """Vectors broadcast per round (``k`` for FkM)."""
         return self.n_clusters
 
-    def _global_inertia(self, datas: Sequence[np.ndarray], centers: np.ndarray) -> float:
-        total = 0.0
-        for X in datas:
-            _, distances = assign_to_nearest(X, centers)
-            total += float(distances.sum(dtype=np.float64))
-        return total
+    def _client_report(self, X: np.ndarray, centers: np.ndarray):
+        """Per-cluster sums and counts of ``X`` under its nearest centers."""
+        labels, _ = assign_to_nearest(X, centers)
+        (sums,), (counts,), _ = grouped_statistics(
+            X, labels[:, None], (self.n_clusters,)
+        )
+        return sums, counts
 
 
 class KhatriRaoFederatedKMeans:
     """Khatri-Rao-FkM: federated clustering communicating protocentroids.
 
-    The server broadcasts the ``∑ h_q`` protocentroid vectors; each client
-    assigns its shard (through the factored kernel for decomposable
-    aggregators — never materializing the centroid grid) and returns the
-    per-protocentroid sufficient statistics of Proposition 6.1 (numerators
-    and denominators), which the server merges into the closed-form update.
-    For the sum aggregator the client report itself is contingency-factored
-    (:func:`repro.core._update.sum_sufficient_statistics`), skipping the
-    per-point rest gather on the client too.
+    The server broadcasts the ``∑ h_q`` protocentroid vectors; each round
+    runs ``local_steps`` global sweeps over the sets (module docstring,
+    step 3).  Clients assign through
+    :func:`repro.core._factored.assign_khatri_rao` (factored for
+    decomposable aggregators — never materializing the centroid grid) and
+    report set ``q``'s statistics through
+    :func:`repro.core._update.set_statistics` (contingency-factored for
+    the sum aggregator, the gather form otherwise).
 
     Parameters mirror :class:`FederatedKMeans` (including the ``dtype``
     knob, resolved against the aggregator's ``working_dtypes`` capability
     with a loud float64 fallback, and the ``participation``/``min_clients``
-    dropout controls); ``aggregator`` defaults to the product, as in the
-    paper's case study.
+    dropout controls), except that ``local_steps`` counts global sweeps;
+    ``aggregator`` defaults to the product, as in the paper's case study.
     """
 
     def __init__(
@@ -270,21 +289,12 @@ class KhatriRaoFederatedKMeans:
         rng = check_random_state(self.random_state)
         m = datas[0].shape[1]
         seeds = _sample_initial_vectors(datas, sum(self.cardinalities), rng)
-        thetas: List[np.ndarray] = []
-        offset = 0
-        for q, h in enumerate(self.cardinalities):
-            block = np.empty((h, m), dtype=working)
-            for j in range(h):
-                block[j] = self.aggregator.split(seeds[offset + j], len(self.cardinalities))[q]
-            thetas.append(block)
-            offset += h
+        thetas = _split_seeds(seeds, self.cardinalities, self.aggregator)
+        self.initial_inertia_ = _global_inertia(
+            datas, khatri_rao_combine(thetas, self.aggregator)
+        )
 
-        initial_centroids = khatri_rao_combine(thetas, self.aggregator)
-        self.initial_inertia_ = 0.0
-        for X in datas:
-            _, distances = assign_to_nearest(X, initial_centroids)
-            self.initial_inertia_ += float(distances.sum(dtype=np.float64))
-
+        factored = resolve_update("auto", self.aggregator)
         self.history_ = _History()
         cumulative_bytes = 0
         for round_index in range(self.n_rounds):
@@ -297,55 +307,28 @@ class KhatriRaoFederatedKMeans:
                 itemsize=working.itemsize,
             )
             for _ in range(self.local_steps):
-                # One global KR-Lloyd step from merged client statistics.
-                factored = self.aggregator.supports_factored_update
-                for q, h in enumerate(self.cardinalities):
-                    # float64 merge accumulators at any working dtype; the
-                    # quotient rounds once into the working-dtype thetas.
-                    # The denominator is a per-protocentroid mass, or
-                    # elementwise (h, m) when the aggregator's update_terms
-                    # carry one.
-                    numerator = np.zeros((h, m))
-                    denominator = None
+                # One global KR-Lloyd step from merged client statistics:
+                # set by set, every client re-assigns its shard against the
+                # partly updated sets and reports set q's statistics.
+                for q in range(len(thetas)):
+                    reports = []
                     for X in round_datas:
-                        labels = self._client_labels(X, thetas)
-                        set_labels = np.stack(
-                            np.unravel_index(labels, self.cardinalities), axis=1
-                        )
-                        a_q = set_labels[:, q]
-                        if factored:
-                            # Contingency-factored client report: no
-                            # per-point rest gather on the client either.
-                            client_num, client_den = sum_sufficient_statistics(
-                                X, thetas, set_labels, q
-                            )
-                        else:
-                            num_terms, den_terms = self.aggregator.update_terms(
-                                X, self._rest(thetas, set_labels, q, m)
-                            )
-                            client_num = grouped_row_sum(a_q, num_terms, h)
-                            client_den = (
-                                np.bincount(a_q, minlength=h) if den_terms is None
-                                else grouped_row_sum(a_q, den_terms, h)
-                            )
-                        numerator += client_num
-                        if denominator is None:
-                            denominator = np.zeros(client_den.shape)
-                        denominator += client_den
-                    if denominator.ndim == 2:
-                        safe = denominator > 1e-12
-                        thetas[q][safe] = numerator[safe] / denominator[safe]
-                    else:
-                        non_empty = denominator > 0
-                        thetas[q][non_empty] = (
-                            numerator[non_empty] / denominator[non_empty, None]
-                        )
-            centroids = khatri_rao_combine(thetas, self.aggregator)
-            total = 0.0
-            for X in datas:
-                _, distances = assign_to_nearest(X, centroids)
-                total += float(distances.sum(dtype=np.float64))
-            self.history_.inertia.append(total)
+                        labels, _ = assign_khatri_rao(X, thetas, self.aggregator)
+                        set_labels = flat_to_set_labels(labels, self.cardinalities)
+                        reports.append(next(set_statistics(
+                            X, thetas, set_labels, self.aggregator,
+                            factored=factored, sets=(q,),
+                        ))[1:])
+                    # The float64 reports (numerator, denominator or None,
+                    # mass) sum across clients at any working dtype; the
+                    # quotient rounds once into the working-dtype thetas.
+                    store_quotient(thetas[q], *(
+                        None if parts[0] is None else sum(parts)
+                        for parts in zip(*reports)
+                    ))
+            self.history_.inertia.append(_global_inertia(
+                datas, khatri_rao_combine(thetas, self.aggregator)
+            ))
             self.history_.communication_bytes.append(cumulative_bytes)
         self.protocentroids_ = thetas
         return self
@@ -356,9 +339,9 @@ class KhatriRaoFederatedKMeans:
             raise NotFittedError(
                 "KhatriRaoFederatedKMeans is not fitted yet; call fit first"
             )
-        centroids = khatri_rao_combine(self.protocentroids_, self.aggregator)
-        labels, _ = assign_to_nearest(
-            np.asarray(X, dtype=centroids.dtype), centroids
+        thetas = self.protocentroids_
+        labels, _ = assign_khatri_rao(
+            np.asarray(X, dtype=thetas[0].dtype), thetas, self.aggregator
         )
         return labels
 
@@ -366,29 +349,14 @@ class KhatriRaoFederatedKMeans:
         """Vectors broadcast per round (``∑ h_q`` for Khatri-Rao-FkM)."""
         return int(sum(self.cardinalities))
 
-    def _client_labels(self, X: np.ndarray, thetas: List[np.ndarray]) -> np.ndarray:
-        """One client's local assignment of its shard.
 
-        Routed through the factored Khatri-Rao kernel when the aggregator
-        decomposes (sum) — identical labels to materializing the grid, but
-        the client never builds the ``(∏ h_q, m)`` centroid matrix.
-        """
-        if self.aggregator.supports_factored_assignment:
-            labels, _ = assign_factored(X, thetas, self.aggregator)
-            return labels
-        centroids = khatri_rao_combine(thetas, self.aggregator)
-        labels, _ = assign_to_nearest(X, centroids)
-        return labels
-
-    def _rest(
-        self, thetas: List[np.ndarray], set_labels: np.ndarray, excluded: int, m: int
-    ) -> np.ndarray:
-        parts = [
-            thetas[l][set_labels[:, l]] for l in range(len(thetas)) if l != excluded
-        ]
-        if not parts:
-            return self.aggregator.identity((set_labels.shape[0], m))
-        return self.aggregator.combine(parts)
+def _global_inertia(datas: Sequence[np.ndarray], centers: np.ndarray) -> float:
+    """Total squared distance of every shard to its nearest of ``centers``."""
+    total = 0.0
+    for X in datas:
+        _, distances = assign_to_nearest(X, centers)
+        total += float(distances.sum(dtype=np.float64))
+    return total
 
 
 def _check_participation(participation):

@@ -30,6 +30,7 @@ from .hadamard import (
     init_hadamard_factors,
 )
 from .khatri_rao import (
+    flat_to_set_labels,
     flat_to_tuple,
     khatri_rao_combine,
     khatri_rao_product,
@@ -50,6 +51,7 @@ __all__ = [
     "num_combinations",
     "tuple_to_flat",
     "flat_to_tuple",
+    "flat_to_set_labels",
     "HadamardDecomposition",
     "hadamard_reconstruct",
     "hadamard_parameter_count",

@@ -11,7 +11,9 @@ The flat ordering of combinations follows C-order (row-major) over the index
 tuple ``(j_1, ..., j_p)``: the last set varies fastest.  This ordering is the
 contract shared by the clustering code (centroid ``i`` ↔ tuple
 :func:`flat_to_tuple`\\ ``(i)``) and must never change silently; use
-:func:`tuple_to_flat` / :func:`flat_to_tuple` instead of ad-hoc arithmetic.
+:func:`tuple_to_flat` / :func:`flat_to_tuple` (and
+:func:`flat_to_set_labels` for a whole label array) instead of ad-hoc
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "num_combinations",
     "tuple_to_flat",
     "flat_to_tuple",
+    "flat_to_set_labels",
 ]
 
 
@@ -90,6 +93,21 @@ def flat_to_tuple(flat: int, cardinalities: Sequence[int]) -> Tuple[int, ...]:
         indices.append(flat % card)
         flat //= card
     return tuple(reversed(indices))
+
+
+def flat_to_set_labels(labels: np.ndarray, cardinalities: Sequence[int]) -> np.ndarray:
+    """:func:`flat_to_tuple` over an array: the ``(n, p)`` per-set labels.
+
+    Row ``i`` holds the per-set protocentroid indices of flat label
+    ``labels[i]`` — the ``set_labels`` every protocentroid update takes.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> flat_to_set_labels(np.array([6, 0]), (3, 4)).tolist()
+    [[1, 2], [0, 0]]
+    """
+    return np.stack(np.unravel_index(labels, tuple(cardinalities)), axis=1)
 
 
 def khatri_rao_combine(

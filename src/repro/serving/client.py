@@ -27,6 +27,7 @@ import urllib.error
 import urllib.request
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from .._validation import check_positive_int
 from ..exceptions import ServingError
 
 __all__ = ["ServingClient", "ServingClientError"]
@@ -259,7 +260,10 @@ class ServingClient:
     def refine(self, model: str, rows, *, n_steps: int = 1,
                sample_weight=None, deadline_ms: Optional[float] = None,
                request_id: Optional[str] = None) -> dict:
-        payload = {"rows": _tolist(rows), "n_steps": int(n_steps)}
+        payload = {
+            "rows": _tolist(rows),
+            "n_steps": check_positive_int(n_steps, "n_steps"),
+        }
         if sample_weight is not None:
             payload["sample_weight"] = _tolist(sample_weight)
         return self.post(

@@ -40,12 +40,11 @@ from ._validation import (
     check_random_state,
     int_prod,
 )
-from .core._distances import assign_to_nearest
-from .core._factored import assign_factored
+from .core._factored import assign_khatri_rao
 from .core._update import resolve_update, update_protocentroids
 from .core.kmeans import _check_sample_weight
 from .exceptions import SummaryFormatError, ValidationError
-from .linalg import get_aggregator, khatri_rao_combine
+from .linalg import flat_to_set_labels, get_aggregator, khatri_rao_combine
 from .runtime.checkpoint import read_checkpoint, write_checkpoint
 
 __all__ = ["DataSummary", "summarize"]
@@ -149,15 +148,12 @@ class DataSummary:
     def _nearest(self, X: np.ndarray):
         """Labels and squared distances to the nearest centroid.
 
-        Routes through the factored Khatri-Rao kernel when the aggregator
-        decomposes (sum), so out-of-sample assignment never materializes the
-        ``(∏ h_q, m)`` centroid grid; other aggregators fall back to the
-        materialized path.
+        One :func:`~repro.core._factored.assign_khatri_rao` call: the
+        factored kernel when the aggregator decomposes (sum), so
+        out-of-sample assignment never materializes the ``(∏ h_q, m)``
+        centroid grid; the materialized grid otherwise.
         """
-        aggregator = get_aggregator(self.aggregator_name)
-        if aggregator.supports_factored_assignment:
-            return assign_factored(X, self.protocentroids, aggregator)
-        return assign_to_nearest(X, self.centroids())
+        return assign_khatri_rao(X, self.protocentroids, self.aggregator_name)
 
     def _check_features(self, X) -> np.ndarray:
         # New data is scored in the summary's own working dtype.
@@ -241,9 +237,7 @@ class DataSummary:
             )
         for _ in range(n_steps):
             labels, _ = self._nearest(X)
-            set_labels = np.stack(
-                np.unravel_index(labels, self.cardinalities), axis=1
-            )
+            set_labels = flat_to_set_labels(labels, self.cardinalities)
             self.protocentroids = update_protocentroids(
                 X, self.protocentroids, set_labels, aggregator, rng,
                 weights=sample_weight, factored=factored,
@@ -322,7 +316,9 @@ class DataSummary:
             path, error=SummaryFormatError, require_digests=False
         )
         num_sets = header.get("num_sets")
-        if not isinstance(num_sets, int) or num_sets < 1:
+        # Exact type: bool is an int subclass, and JSON ``true`` must not
+        # read as one set.
+        if type(num_sets) is not int or num_sets < 1:
             raise SummaryFormatError(
                 f"num_sets must be a positive integer, got {num_sets!r}",
                 field="num_sets",

@@ -369,7 +369,7 @@ class TestEstimatorEquivalence:
         assert labels.shape == (20,)
 
     def test_summary_assign_honors_factored_kernel(self, monkeypatch):
-        from repro import summary as summary_module
+        from repro.core import _factored
         from repro.summary import summarize
 
         rng = np.random.default_rng(9)
@@ -382,9 +382,7 @@ class TestEstimatorEquivalence:
         def _no_materialize(*args, **kwargs):
             raise AssertionError("summary assignment materialized the grid")
 
-        monkeypatch.setattr(
-            summary_module, "assign_to_nearest", _no_materialize
-        )
+        monkeypatch.setattr(_factored, "assign_to_nearest", _no_materialize)
         np.testing.assert_array_equal(data_summary.assign(X_new), expected)
         assert np.isfinite(data_summary.inertia(X_new))
 

@@ -9,10 +9,12 @@ the end speaks to a real :class:`ServingServer` over loopback.
 import json
 import urllib.error
 
+import numpy as np
 import pytest
 
 from repro import KhatriRaoKMeans, summarize
 from repro.datasets import make_blobs
+from repro.exceptions import ValidationError
 from repro.serving import ModelRegistry, ServingClient, ServingClientError, create_server
 
 
@@ -144,6 +146,19 @@ class TestProtocolHeaders:
         assert url.endswith("/v1/models/m/assign")
         assert headers["X-Deadline-Ms"] == "250"
         assert json.loads(body) == {"rows": [[0.0, 1.0]]}
+
+    @pytest.mark.parametrize("n_steps", [2.9, True, 0, "2"])
+    def test_refine_rejects_bad_n_steps_before_sending(self, n_steps):
+        # Truncating with int() would send 2.9 as 2 steps and True as 1.
+        transport = ScriptedTransport(OK)
+        with pytest.raises(ValidationError, match="n_steps"):
+            make_client(transport).refine("m", [[0.0, 1.0]], n_steps=n_steps)
+        assert transport.calls == []
+
+    def test_refine_sends_numpy_integer_n_steps(self):
+        transport = ScriptedTransport(OK)
+        make_client(transport).refine("m", [[0.0, 1.0]], n_steps=np.int64(3))
+        assert json.loads(transport.calls[0][2])["n_steps"] == 3
 
     def test_healthz_returns_a_draining_503_body_instead_of_raising(self):
         draining = (

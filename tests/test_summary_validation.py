@@ -52,3 +52,26 @@ def test_refine_accepts_numpy_integer_steps():
     b.refine(X, n_steps=np.int64(2), random_state=0)
     for got, want in zip(a.protocentroids, b.protocentroids):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("num_sets", [True, False])
+def test_load_rejects_boolean_num_sets(tmp_path, num_sets):
+    # JSON ``true`` is a Python bool, and bool is an int subclass: without
+    # an explicit check the header below would load as a one-set summary.
+    from repro.runtime.checkpoint import write_checkpoint
+
+    theta = np.ones((2, 3))
+    header = {
+        "aggregator": "sum",
+        "num_sets": num_sets,
+        "cardinalities": [2],
+        "n_features": 3,
+        "dtype": "float64",
+        "metadata": {},
+    }
+    path = write_checkpoint(
+        tmp_path / "bool.npz", header, {"protocentroids_0": theta}
+    )
+    with pytest.raises(SummaryFormatError, match="num_sets") as excinfo:
+        DataSummary.load(path)
+    assert excinfo.value.field == "num_sets"

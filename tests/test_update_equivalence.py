@@ -34,7 +34,7 @@ from repro.core._factored import grouped_row_sum
 from repro.core._update import (
     pair_count_tables,
     resolve_update,
-    sum_sufficient_statistics,
+    set_statistics,
 )
 from repro.exceptions import ValidationError
 from repro.linalg import ProductAggregator, SumAggregator
@@ -207,9 +207,10 @@ class TestContingencyTables:
         # The single-set federated entry point equals the gather statistics.
         X, thetas, set_labels, weights = _random_problem(13, (3, 3), weighted=True)
         for q in range(2):
-            numerator, mass = sum_sufficient_statistics(
-                X, thetas, set_labels, q, weights
-            )
+            _, numerator, _, mass = next(set_statistics(
+                X, thetas, set_labels, "sum", weights, factored=True,
+                sets=(q,),
+            ))
             rest = thetas[1 - q][set_labels[:, 1 - q]]
             expected_num = grouped_row_sum(
                 set_labels[:, q], (X - rest) * weights[:, None], 3
