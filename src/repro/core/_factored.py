@@ -136,6 +136,7 @@ def assign_khatri_rao(
     k = int_prod(theta.shape[0] for theta in thetas)
     if x_squared_norms is None:
         x_squared_norms = row_norms_squared(X, parallel=parallel)
+    dtype = np.result_type(*(_working_dtype(a) for a in (X, *thetas)))
 
     def _block(start, stop):
         Xb, norms = X[start:stop], x_squared_norms[start:stop]
@@ -149,6 +150,7 @@ def assign_khatri_rao(
                 x_squared_norms=norms,
             ),
             return_second=return_second,
+            dtype=dtype,
         )
 
     return merge_row_block_assignments(

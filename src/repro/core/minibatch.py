@@ -665,6 +665,12 @@ class MiniBatchKhatriRaoKMeans:
         sequence afterwards is bit-identical to the uninterrupted stream,
         bounds decisions included.  Returns ``self``.
         """
+        self._restore_stream(path)
+        return self
+
+    def _restore_stream(self, path) -> dict:
+        """:meth:`load_stream`, returning the archive's header so a
+        wrapper reads its own fields without reading the archive again."""
         if self.dtype_ is None:
             self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
         header, arrays = read_state(self, path, kind="stream")
@@ -683,7 +689,7 @@ class MiniBatchKhatriRaoKMeans:
             self.last_batch_stats_ = BatchStats(
                 labels=labels, drift_norms=tables, **fields
             )
-        return self
+        return header
 
     def partial_fit_batch(
         self,

@@ -1,14 +1,18 @@
 """Deep clustering and its Khatri-Rao extensions (paper Sections 3, 4.2, 7).
 
-* :class:`DKM` / :class:`IDEC` — the autoencoder-based baselines
-  [Fard et al., 2020; Guo et al., 2017] reimplemented on the
-  :mod:`repro.autodiff` substrate;
-* :class:`KhatriRaoDKM` / :class:`KhatriRaoIDEC` — their Khatri-Rao
-  variants: latent centroids constrained to a Khatri-Rao aggregation of
-  protocentroids, autoencoder weights Hadamard-compressed (Eq. 6),
-  initialization via :class:`~repro.core.KhatriRaoKMeans` (Section 7);
+* :class:`DKM` / :class:`IDEC` / :class:`DEC` — the autoencoder-based
+  baselines [Fard et al., 2020; Guo et al., 2017; Xie et al., 2016]
+  reimplemented on the :mod:`repro.autodiff` substrate (DEC is IDEC
+  without the reconstruction term);
+* :class:`KhatriRaoDKM` / :class:`KhatriRaoIDEC` / :class:`KhatriRaoDEC`
+  — each base method under the one Khatri-Rao reparameterization
+  (``deep.base.KhatriRaoVariant``): latent centroids constrained to a
+  Khatri-Rao aggregation of protocentroids, autoencoder weights
+  Hadamard-compressed (Eq. 6), initialization via
+  :class:`~repro.core.KhatriRaoKMeans` (Section 7);
 * :func:`fit_compressed_autoencoder` — the rank-doubling pretraining
-  schedule of Section 9.1.
+  schedule of Section 9.1 (the rank rule itself is
+  :func:`repro.nn.autoencoder.default_ranks`).
 """
 
 from .base import DeepClusteringResult

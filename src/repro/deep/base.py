@@ -11,7 +11,10 @@ The training recipe follows the paper (Sections 3, 7, 9.1):
 3. **Jointly optimize** ``L_cluster + w_rec · L_rec`` over autoencoder and
    centroid/protocentroid parameters with batch-wise ADAM.
 
-Subclasses only provide the clustering loss (DKM or IDEC).
+A base method only provides its clustering loss (DKM or IDEC; DEC is IDEC
+without the reconstruction term).  Its Khatri-Rao variant is the base
+method with :class:`KhatriRaoVariant` mixed in first: one
+reparameterization (Section 7) for every centroid-based method.
 """
 
 from __future__ import annotations
@@ -288,4 +291,32 @@ class BaseDeepClustering:
 
         self.clustering_loss_ = trainer.run(
             X.shape[0], loss_fn, epochs=self.clustering_epochs
+        )
+
+
+class KhatriRaoVariant:
+    """The Khatri-Rao reparameterization of a centroid-based deep method.
+
+    Mixed in ahead of a base method (``class KhatriRaoDKM(KhatriRaoVariant,
+    DKM)``): ``cardinalities`` protocentroid sets replace the latent
+    centroids, ``aggregator`` combines them (paper: sum), and the
+    autoencoder is Hadamard-compressed unless ``compress_autoencoder`` is
+    False (Section 7 compresses both Θ_μ and Θ_α; False ablates it).  The
+    base method's loss, ``alpha`` and other parameters carry over.
+    """
+
+    def __init__(
+        self,
+        cardinalities: Sequence[int],
+        *,
+        aggregator="sum",
+        compress_autoencoder: bool = True,
+        **kwargs,
+    ) -> None:
+        super().__init__(
+            None,
+            cardinalities=cardinalities,
+            aggregator=aggregator,
+            compress_autoencoder=compress_autoencoder,
+            **kwargs,
         )

@@ -1,12 +1,15 @@
 """Compressed-autoencoder pretraining with the rank schedule of Section 9.1.
 
-The paper's procedure: start each Hadamard factor at rank
-``max(10, min(d_l, m_l))``-style defaults, pretrain the compressed
-autoencoder, and if its reconstruction loss exceeds the dense autoencoder's,
-"iteratively multiply the rank by 2, 3, ..." — retraining with additional
-epochs after each increase — until the compressed loss falls under the dense
-one (or a cap is reached, since a laptop-scale budget must terminate).
-Input and output layers stay dense, which "improves performance".
+The paper's procedure: start each Hadamard factor at rank-10-style
+defaults, pretrain the compressed autoencoder, and if its reconstruction
+loss exceeds the dense autoencoder's, "iteratively multiply the rank by 2,
+3, ..." — retraining with additional epochs after each increase — until
+the compressed loss falls under the dense one (or a cap is reached, since
+a laptop-scale budget must terminate).  Input and output layers stay
+dense, which "improves performance".  The starting ranks and the per-layer
+cap come from the one rank rule in :mod:`repro.nn.autoencoder`
+(:func:`~repro.nn.autoencoder.default_ranks`,
+:func:`~repro.nn.autoencoder.rank_cap`).
 """
 
 from __future__ import annotations
@@ -17,34 +20,16 @@ import numpy as np
 
 from .._validation import check_positive_int, check_random_state
 from ..nn import Autoencoder, build_autoencoder
+from ..nn.autoencoder import default_ranks, rank_cap
 
-__all__ = ["fit_compressed_autoencoder", "default_ranks"]
+__all__ = ["fit_compressed_autoencoder"]
 
-
-def default_ranks(
-    input_dim: int,
-    hidden_dims: Sequence[int],
-    *,
-    base_rank: int = 10,
-    n_hadamard_factors: int = 2,
-) -> List[int]:
-    """Initial per-layer ranks for the compressed autoencoder.
-
-    The paper starts from rank-10-style defaults on its large
-    ``m-1024-512-256-10`` architecture.  For arbitrary (possibly tiny)
-    presets we additionally cap each rank so the factorization is *strictly
-    smaller* than the dense layer it replaces: a ``q``-factor Hadamard layer
-    stores ``q·r·(d + m)`` scalars versus ``d·m`` dense, so the rank is
-    clipped below ``d·m / (q·(d + m))``.
-    """
-    dims = [int(input_dim)] + [int(d) for d in hidden_dims]
-    q = max(1, int(n_hadamard_factors))
-    ranks = []
-    for i in range(len(dims) - 1):
-        d, m = dims[i], dims[i + 1]
-        compression_cap = max(1, (d * m) // (q * (d + m)))
-        ranks.append(max(1, min(base_rank, min(d, m), compression_cap)))
-    return ranks
+#: Fraction of ``epochs`` retrained after each rank increase (the paper adds
+#: 500 epochs to its 1000-epoch budget per increase).
+EXTRA_EPOCH_FACTOR = 0.5
+#: A compressed candidate is accepted once its reconstruction loss is
+#: within this factor of the dense reference's.
+LOSS_TOLERANCE = 1.05
 
 
 def fit_compressed_autoencoder(
@@ -55,10 +40,7 @@ def fit_compressed_autoencoder(
     batch_size: int = 256,
     learning_rate: float = 1e-3,
     n_hadamard_factors: int = 2,
-    base_rank: int = 10,
     max_rank_multiplier: int = 4,
-    extra_epoch_factor: float = 0.5,
-    loss_tolerance: float = 1.05,
     dense_reference: Optional[Autoencoder] = None,
     random_state=None,
 ) -> Tuple[Autoencoder, List[float]]:
@@ -70,12 +52,7 @@ def fit_compressed_autoencoder(
     hidden_dims : encoder widths (latent last).
     epochs, batch_size, learning_rate : pretraining configuration.
     n_hadamard_factors : ``q`` of Eq. 6 (paper default 2).
-    base_rank : starting rank for every compressed layer.
     max_rank_multiplier : cap on the rank multiplier (ensures termination).
-    extra_epoch_factor : fraction of ``epochs`` added after each rank bump
-        (the paper adds 500 epochs to its 1000-epoch budget per bump).
-    loss_tolerance : accept the compressed model once its loss is within
-        this factor of the dense reference loss.
     dense_reference : optional pre-trained dense autoencoder whose
         reconstruction loss acts as the acceptance threshold; trained here
         if omitted.
@@ -104,15 +81,11 @@ def fit_compressed_autoencoder(
     dense_loss = dense_reference.reconstruction_loss(X)
 
     base = default_ranks(
-        X.shape[1], hidden_dims, base_rank=base_rank,
-        n_hadamard_factors=n_hadamard_factors,
+        X.shape[1], hidden_dims, n_hadamard_factors=n_hadamard_factors
     )
     # Never let a rank bump push a layer past its dense parameter count.
     dims = [X.shape[1]] + [int(d) for d in hidden_dims]
-    caps = [
-        max(1, (dims[i] * dims[i + 1]) // (n_hadamard_factors * (dims[i] + dims[i + 1])))
-        for i in range(len(dims) - 1)
-    ]
+    caps = [rank_cap(d, m, n_hadamard_factors) for d, m in zip(dims, dims[1:])]
     history: List[float] = []
     best: Optional[Autoencoder] = None
     best_loss = np.inf
@@ -126,7 +99,7 @@ def fit_compressed_autoencoder(
             n_hadamard_factors=n_hadamard_factors,
             random_state=rng,
         )
-        run_epochs = epochs if multiplier == 1 else max(1, int(extra_epoch_factor * epochs))
+        run_epochs = epochs if multiplier == 1 else max(1, int(EXTRA_EPOCH_FACTOR * epochs))
         history.extend(
             candidate.pretrain(
                 X,
@@ -139,7 +112,7 @@ def fit_compressed_autoencoder(
         candidate_loss = candidate.reconstruction_loss(X)
         if candidate_loss < best_loss:
             best, best_loss = candidate, candidate_loss
-        if candidate_loss <= loss_tolerance * dense_loss:
+        if candidate_loss <= LOSS_TOLERANCE * dense_loss:
             return candidate, history
     # Cap reached: return the best compressed model found.
     return best, history

@@ -11,20 +11,17 @@ reconstruction regularizer in the Khatri-Rao setting.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..autodiff import Tensor
-from .base import BaseDeepClustering
-from .losses import idec_loss
+from .base import KhatriRaoVariant
+from .idec import IDEC
 
 __all__ = ["DEC", "KhatriRaoDEC"]
 
 
-class DEC(BaseDeepClustering):
+class DEC(IDEC):
     """DEC: KL-divergence deep clustering without reconstruction loss.
 
-    Identical to :class:`~repro.deep.IDEC` with ``w_rec = 0`` — the encoder
-    is free to distort the latent space in favour of cluster separation.
+    :class:`~repro.deep.IDEC` with ``w_rec = 0`` forced — the encoder is
+    free to distort the latent space in favour of cluster separation.
 
     Examples
     --------
@@ -39,38 +36,11 @@ class DEC(BaseDeepClustering):
 
     loss_name = "dec"
 
-    def __init__(self, n_clusters: int, *, alpha: float = 1.0, **kwargs) -> None:
+    def __init__(self, n_clusters: int, **kwargs) -> None:
         kwargs["w_rec"] = 0.0
-        super().__init__(n_clusters=n_clusters, **kwargs)
-        self.alpha = float(alpha)
-
-    def _clustering_loss(self, Z: Tensor, M: Tensor) -> Tensor:
-        return idec_loss(Z, M, alpha=self.alpha)
+        super().__init__(n_clusters, **kwargs)
 
 
-class KhatriRaoDEC(BaseDeepClustering):
+class KhatriRaoDEC(KhatriRaoVariant, DEC):
     """Khatri-Rao DEC: protocentroid centroids, compressed autoencoder,
     no reconstruction loss during the clustering phase."""
-
-    loss_name = "dec"
-
-    def __init__(
-        self,
-        cardinalities: Sequence[int],
-        *,
-        alpha: float = 1.0,
-        aggregator="sum",
-        compress_autoencoder: bool = True,
-        **kwargs,
-    ) -> None:
-        kwargs["w_rec"] = 0.0
-        super().__init__(
-            cardinalities=cardinalities,
-            aggregator=aggregator,
-            compress_autoencoder=compress_autoencoder,
-            **kwargs,
-        )
-        self.alpha = float(alpha)
-
-    def _clustering_loss(self, Z: Tensor, M: Tensor) -> Tensor:
-        return idec_loss(Z, M, alpha=self.alpha)

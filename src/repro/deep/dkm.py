@@ -8,10 +8,8 @@ of protocentroids and Hadamard-compresses the autoencoder (Section 7).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..autodiff import Tensor
-from .base import BaseDeepClustering
+from .base import BaseDeepClustering, KhatriRaoVariant
 from .losses import dkm_loss
 
 __all__ = ["DKM", "KhatriRaoDKM"]
@@ -44,38 +42,8 @@ class DKM(BaseDeepClustering):
         return dkm_loss(Z, M, alpha=self.alpha)
 
 
-class KhatriRaoDKM(BaseDeepClustering):
+class KhatriRaoDKM(KhatriRaoVariant, DKM):
     """Khatri-Rao DKM: protocentroid centroids + compressed autoencoder.
 
-    Parameters
-    ----------
-    cardinalities : sequence of int
-        Protocentroid set sizes ``(h_1, ..., h_p)``.
-    aggregator : {"sum", "product"}
-        Paper default for deep clustering: sum.
-    compress_autoencoder : bool
-        Default True (Section 7 compresses both Θ_μ and Θ_α); set False to
-        ablate centroid-only compression.
+    :class:`DKM` reparameterized by :class:`~repro.deep.base.KhatriRaoVariant`.
     """
-
-    loss_name = "dkm"
-
-    def __init__(
-        self,
-        cardinalities: Sequence[int],
-        *,
-        alpha: float = 1000.0,
-        aggregator="sum",
-        compress_autoencoder: bool = True,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            cardinalities=cardinalities,
-            aggregator=aggregator,
-            compress_autoencoder=compress_autoencoder,
-            **kwargs,
-        )
-        self.alpha = float(alpha)
-
-    def _clustering_loss(self, Z: Tensor, M: Tensor) -> Tensor:
-        return dkm_loss(Z, M, alpha=self.alpha)

@@ -10,10 +10,8 @@ latent centroids and a Hadamard-compressed autoencoder.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..autodiff import Tensor
-from .base import BaseDeepClustering
+from .base import BaseDeepClustering, KhatriRaoVariant
 from .losses import idec_loss
 
 __all__ = ["IDEC", "KhatriRaoIDEC"]
@@ -45,27 +43,8 @@ class IDEC(BaseDeepClustering):
         return idec_loss(Z, M, alpha=self.alpha)
 
 
-class KhatriRaoIDEC(BaseDeepClustering):
-    """Khatri-Rao IDEC: protocentroid centroids + compressed autoencoder."""
+class KhatriRaoIDEC(KhatriRaoVariant, IDEC):
+    """Khatri-Rao IDEC: protocentroid centroids + compressed autoencoder.
 
-    loss_name = "idec"
-
-    def __init__(
-        self,
-        cardinalities: Sequence[int],
-        *,
-        alpha: float = 1.0,
-        aggregator="sum",
-        compress_autoencoder: bool = True,
-        **kwargs,
-    ) -> None:
-        super().__init__(
-            cardinalities=cardinalities,
-            aggregator=aggregator,
-            compress_autoencoder=compress_autoencoder,
-            **kwargs,
-        )
-        self.alpha = float(alpha)
-
-    def _clustering_loss(self, Z: Tensor, M: Tensor) -> Tensor:
-        return idec_loss(Z, M, alpha=self.alpha)
+    :class:`IDEC` reparameterized by :class:`~repro.deep.base.KhatriRaoVariant`.
+    """

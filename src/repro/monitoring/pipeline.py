@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..exceptions import MonitoringError
-from ..runtime.checkpoint import read_checkpoint
 from .alerts import DriftAlert, PolicyAction
 from .engine import DriftEngine
 from .policies import DriftPolicy, resolve_policy
@@ -116,9 +115,7 @@ class MonitoredStream:
         the writer (each verifies its own fingerprint); continuing the
         batch sequence is then bit-identical to never having stopped.
         """
-        self.model.load_stream(path)
-        header, _ = read_checkpoint(path)
-        monitor = header.get("monitor")
+        monitor = self.model._restore_stream(path).get("monitor")
         if monitor is None:
             raise MonitoringError(
                 f"{path} is a stream checkpoint without monitor state; "

@@ -8,6 +8,9 @@ output layers stay dense, which "improves performance" — Section 9.1) and
 grows the factor ranks until the compressed autoencoder matches the dense
 one's reconstruction loss (the rank-doubling schedule, implemented in
 :mod:`repro.deep.compression`).
+
+The rank rule lives here once (:func:`rank_cap`, :func:`default_ranks`);
+:func:`build_autoencoder` and the rank schedule both read it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,49 @@ from .layers import Activation, HadamardLinear, Linear, Module, Sequential
 from .optim import Adam
 from .training import Trainer
 
-__all__ = ["Autoencoder", "build_autoencoder"]
+__all__ = ["Autoencoder", "build_autoencoder", "default_ranks", "rank_cap"]
 
 #: The paper's encoder widths (excluding the data dimension m).
 PAPER_HIDDEN_DIMS = (1024, 512, 256, 10)
 #: A small preset keeping CPU-only tests fast; same depth structure.
 SMALL_HIDDEN_DIMS = (64, 32, 10)
+#: Starting rank of a compressed layer (the paper's rank-10 defaults).
+BASE_RANK = 10
+
+
+def rank_cap(d: int, m: int, q: int) -> int:
+    """Largest rank (at least 1) at which a ``q``-factor Hadamard ``d → m``
+    layer, ``q·r·(d + m)`` scalars, stores no more than the dense ``d·m``."""
+    return max(1, (d * m) // (q * (d + m)))
+
+
+def default_ranks(
+    input_dim: int,
+    hidden_dims: Sequence[int],
+    *,
+    base_rank: int = BASE_RANK,
+    n_hadamard_factors: int = 2,
+) -> List[int]:
+    """Starting per-layer ranks of the compressed encoder.
+
+    The paper starts from rank-10-style defaults on its large
+    ``m-1024-512-256-10`` architecture.  For arbitrary (possibly tiny)
+    presets each rank is also clipped to ``min(d, m)`` and to
+    :func:`rank_cap`, so the factorization never outgrows the dense layer.
+
+    Examples
+    --------
+    >>> default_ranks(100, (20, 5))
+    [8, 2]
+    >>> default_ranks(784, (1024, 512, 256, 10))
+    [10, 10, 10, 4]
+    """
+    dims = [int(input_dim)] + [int(d) for d in hidden_dims]
+    q = max(1, int(n_hadamard_factors))
+    return [
+        max(1, min(base_rank, d, m, rank_cap(d, m, q)))
+        for d, m in zip(dims, dims[1:])
+    ]
 
 
 class Autoencoder(Module):
@@ -110,7 +150,7 @@ def _make_stack(
     dims: Sequence[int],
     *,
     compressed_mask: Sequence[bool],
-    ranks: Optional[Sequence[int]],
+    ranks: Sequence[int],
     n_hadamard_factors: int,
     rng: np.random.Generator,
 ) -> Sequential:
@@ -124,18 +164,8 @@ def _make_stack(
     for i in range(n_layers):
         in_dim, out_dim = dims[i], dims[i + 1]
         if compressed_mask[i]:
-            if ranks is not None:
-                rank = ranks[i]
-            else:
-                # Default: rank 10-style, capped so the factorization stays
-                # strictly smaller than the dense layer it replaces.
-                cap = max(
-                    1,
-                    (in_dim * out_dim) // (n_hadamard_factors * (in_dim + out_dim)),
-                )
-                rank = max(1, min(10, min(in_dim, out_dim), cap))
             layer: Module = HadamardLinear(
-                in_dim, out_dim, [rank] * n_hadamard_factors, random_state=rng
+                in_dim, out_dim, [ranks[i]] * n_hadamard_factors, random_state=rng
             )
         else:
             layer = Linear(in_dim, out_dim, random_state=rng)
@@ -169,8 +199,7 @@ def build_autoencoder(
         Replace inner layers by :class:`HadamardLinear` (Khatri-Rao variant).
     ranks : sequence of int, optional
         Per-layer factor ranks for the encoder stack; mirrored for the
-        decoder.  Defaults to the paper's ``max(10, min(d_l, m_l))`` rule,
-        clipped for the small presets.
+        decoder.  Defaults to :func:`default_ranks`.
     n_hadamard_factors : int
         ``q`` of Eq. 6 (paper default 2).
     compress_boundary_layers : bool
@@ -191,32 +220,25 @@ def build_autoencoder(
         raise ValidationError("hidden_dims must contain at least the latent dimension")
     rng = check_random_state(random_state)
     n_layers = len(dims) - 1
-
-    if compressed:
-        encoder_mask = [True] * n_layers
-        decoder_mask = [True] * n_layers
-        if not compress_boundary_layers:
-            encoder_mask[0] = False  # input layer stays dense
-            decoder_mask[-1] = False  # output layer stays dense
-    else:
-        encoder_mask = [False] * n_layers
-        decoder_mask = [False] * n_layers
-
-    encoder_ranks = list(ranks) if ranks is not None else None
-    decoder_ranks = list(reversed(encoder_ranks)) if encoder_ranks is not None else None
+    encoder_mask = [compressed] * n_layers
+    decoder_mask = [compressed] * n_layers
+    if compressed and not compress_boundary_layers:
+        encoder_mask[0] = False  # input layer stays dense
+        decoder_mask[-1] = False  # output layer stays dense
+    if ranks is None:
+        ranks = default_ranks(input_dim, dims[1:], n_hadamard_factors=n_hadamard_factors)
 
     encoder = _make_stack(
         dims,
         compressed_mask=encoder_mask,
-        ranks=encoder_ranks,
+        ranks=list(ranks),
         n_hadamard_factors=n_hadamard_factors,
         rng=rng,
     )
-    decoder_dims = list(reversed(dims))
     decoder = _make_stack(
-        decoder_dims,
+        dims[::-1],
         compressed_mask=decoder_mask,
-        ranks=decoder_ranks,
+        ranks=list(ranks)[::-1],
         n_hadamard_factors=n_hadamard_factors,
         rng=rng,
     )

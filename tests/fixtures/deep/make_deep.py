@@ -3,8 +3,11 @@
 ``deep.npz`` pins, bit for bit, what the autodiff tape, the layers and the
 ADAM optimizer produce:
 
-* small :class:`~repro.deep.KhatriRaoDKM`, :class:`~repro.deep.DKM` and
-  :class:`~repro.deep.IDEC` fits on stickfigures (:data:`CASES`):
+* small fits on stickfigures (:data:`CASES`) of
+  :class:`~repro.deep.KhatriRaoDKM` (sum and compressed, and product,
+  uncompressed with ``alpha=50``), :class:`~repro.deep.DKM`,
+  :class:`~repro.deep.IDEC`, :class:`~repro.deep.KhatriRaoIDEC`,
+  :class:`~repro.deep.DEC` and :class:`~repro.deep.KhatriRaoDEC`:
   ``labels_``, ``pretrain_loss_``, ``clustering_loss_``, the centroid or
   protocentroid parameters, the materialized ``centroids()`` and every
   autoencoder parameter;
@@ -64,11 +67,40 @@ def _idec():
     return IDEC(9, **FIT_PARAMS)
 
 
+def _kr_idec():
+    from repro.deep import KhatriRaoIDEC
+
+    return KhatriRaoIDEC((3, 3), **FIT_PARAMS)
+
+
+def _dec():
+    from repro.deep import DEC
+
+    return DEC(9, **FIT_PARAMS)
+
+
+def _kr_dec():
+    from repro.deep import KhatriRaoDEC
+
+    return KhatriRaoDEC((3, 3), **FIT_PARAMS)
+
+
+def _kr_product_dkm():
+    from repro.deep import KhatriRaoDKM
+
+    return KhatriRaoDKM((3, 3), aggregator="product",
+                        compress_autoencoder=False, alpha=50.0, **FIT_PARAMS)
+
+
 #: case name -> estimator factory
 CASES = {
     "kr_dkm": _kr_dkm,
     "dkm": _dkm,
     "idec": _idec,
+    "kr_idec": _kr_idec,
+    "dec": _dec,
+    "kr_dec": _kr_dec,
+    "kr_product_dkm": _kr_product_dkm,
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import make_blobs
 from repro.deep import DKM, IDEC, KhatriRaoDKM, KhatriRaoIDEC, fit_compressed_autoencoder
-from repro.deep.compression import default_ranks
+from repro.nn.autoencoder import default_ranks
 from repro.exceptions import NotFittedError, ValidationError
 from repro.metrics import unsupervised_clustering_accuracy as acc
 

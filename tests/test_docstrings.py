@@ -12,18 +12,29 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.applications.color_quantization
+import repro.applications.summarization
 import repro.autodiff.tensor
 import repro.core.design
+import repro.core.kmeans
+import repro.core.kr_kmeans
 import repro.core.minibatch
 import repro.datasets.federated
+import repro.datasets.registry
+import repro.deep.dec
+import repro.deep.dkm
+import repro.deep.idec
 import repro.linalg.hadamard
 import repro.linalg.khatri_rao
 import repro.metrics.clustering
 import repro.metrics.compression
+import repro.nn.autoencoder
+import repro.serving
 import repro.summary
 import repro.utils.memory
 import repro.utils.timing
+import repro.viz.images
 
 MODULES = [
     repro.linalg.khatri_rao,
@@ -37,6 +48,17 @@ MODULES = [
     repro.summary,
     repro.utils.timing,
     repro.utils.memory,
+    repro,
+    repro.applications.summarization,
+    repro.core.kmeans,
+    repro.core.kr_kmeans,
+    repro.datasets.registry,
+    repro.deep.dec,
+    repro.deep.dkm,
+    repro.deep.idec,
+    repro.nn.autoencoder,
+    repro.serving,
+    repro.viz.images,
 ]
 
 

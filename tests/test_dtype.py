@@ -37,6 +37,7 @@ from repro import (
 )
 from repro.core import assign_factored, grouped_row_sum, update_factored, update_gather
 from repro.core._distances import assign_to_nearest
+from repro.core._factored import assign_khatri_rao
 from repro.exceptions import DtypeFallbackWarning, ValidationError
 from repro.federated import KhatriRaoFederatedKMeans, communication_cost_bytes
 from repro.linalg import (
@@ -383,6 +384,20 @@ class TestKernelDtypeContracts:
             assert d.dtype == np.float32
             assert np.all(np.abs(d.astype(np.float64) - ref_d) <= envelope)
             np.testing.assert_array_equal(labels[decided], ref_labels[decided])
+
+    @pytest.mark.parametrize("aggregator", ["product", "sum"])
+    def test_chunked_materialized_sweep_keeps_float32(self, aggregator):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 6)).astype(np.float32)
+        thetas = [rng.normal(size=(h, 6)).astype(np.float32) for h in (3, 4)]
+        whole = assign_khatri_rao(X, thetas, aggregator, assignment="materialized",
+                                  return_second=True)
+        chunked = assign_khatri_rao(X, thetas, aggregator, assignment="materialized",
+                                    chunk_size=5, return_second=True)
+        for got, want in zip(chunked, whole):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert chunked[1].dtype == np.float32
 
     def test_update_kernels_preserve_dtype_and_agree(self):
         rng = np.random.default_rng(2)

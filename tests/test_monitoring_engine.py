@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import MiniBatchKhatriRaoKMeans
 from repro.core.minibatch import BatchStats
 from repro.exceptions import MonitoringError, ValidationError
 from repro.monitoring import (
@@ -12,6 +13,7 @@ from repro.monitoring import (
     AlertOnlyPolicy,
     DriftAlert,
     DriftEngine,
+    MonitoredStream,
     PolicyAction,
     TriggerRefinePolicy,
     TriggerRefitPolicy,
@@ -242,3 +244,31 @@ class TestPolicies:
         assert clone.last_trigger_step == 5
         with pytest.raises(MonitoringError):
             TriggerRefinePolicy(cooldown=6).restore(policy.state_dict())
+
+
+
+class TestMonitoredStreamCheckpoint:
+    @staticmethod
+    def build():
+        return MonitoredStream(MiniBatchKhatriRaoKMeans((3, 3), random_state=0),
+                               engine=DriftEngine(warmup_steps=1))
+
+    def test_load_reads_the_archive_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        stream = self.build()
+        for step in range(4):
+            stream.process(rng.normal(size=(40, 4)) + step,
+                           index=np.arange(40) + 40 * step)
+        path = stream.save(tmp_path / "monitored.npz")
+
+        reads = []
+        real_load = np.load
+
+        def counting_load(*args, **kwargs):
+            reads.append(args[0])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        resumed = self.build().load(path)
+        assert len(reads) == 1
+        assert resumed.timeline() == stream.timeline()
