@@ -17,14 +17,20 @@ no other fixture covers:
   and float64, ``local_steps=2``, a dropout schedule and one shard over
   4096 rows (so its client statistics span several row blocks):
   protocentroids, ``initial_inertia_``, ``history_.inertia`` and
-  ``predict``.
+  ``predict``;
+* :class:`repro.KMeans` for every case in :data:`KMEANS_CASES` — random
+  init at ``k = 150`` on data whose rows repeat (so clusters go empty and
+  the farthest-point reseed runs) and k-means++ init on blobs, float32
+  and float64, pruned and unpruned, with and without weights, plus an
+  ``n_jobs=2`` fit: labels, inertia, ``n_iter_``, centers and
+  ``predict``, ``transform`` and ``score`` on held-out rows.
 
 The inputs come from the legacy ``np.random.RandomState`` stream, whose
 output numpy keeps fixed across releases, so only the results are
 stored; ``data_digest`` records a checksum of every input so a drifted
 generator fails loudly instead of comparing against the wrong data.
 ``tests/test_kr_paths_fixtures.py`` recomputes every entry and requires
-equality.
+equality; ``kmeans_data_digest`` does the same for the ``KMeans`` inputs.
 
 Regenerate only when one of these results changes on purpose::
 
@@ -80,6 +86,31 @@ N_ROUNDS = 3
 #: round -> dropped client indices
 DROPOUT = {1: [2], 2: [0]}
 
+#: KMeans case -> (n_clusters, init, data, dtype, pruning, weighted, n_jobs)
+KMEANS_CASES = {
+    f"{init_name}_{dtype}_{pruning}{'_weighted' if weighted else ''}": (
+        k, init, data, dtype, pruning, weighted, None
+    )
+    for init_name, k, init, data in (
+        ("reseed", 150, "random", "repeated"),
+        ("pp", 20, "k-means++", "blobs"),
+    )
+    for dtype in ("float32", "float64")
+    for pruning in ("none", "auto")
+    for weighted in (False, True)
+}
+KMEANS_CASES["pp_float64_auto_jobs2"] = (
+    20, "k-means++", "blobs", "float64", "auto", False, 2
+)
+KMEANS_CASES["reseed_float64_auto_weighted_jobs2"] = (
+    150, "random", "repeated", "float64", "auto", True, 2
+)
+#: distinct rows of the repeated-rows data, each repeated KMEANS_REPEATS times
+KMEANS_DISTINCT = 240
+KMEANS_REPEATS = 5
+KMEANS_ROWS = 1200
+KMEANS_FEATURES = 8
+
 
 def _positive_blobs(rng, rows: int) -> np.ndarray:
     """Blobs on a positive range, so product factors stay well-posed."""
@@ -114,6 +145,49 @@ def federated_inputs():
     rng = np.random.RandomState(31)
     shards = [_positive_blobs(rng, rows) for rows in SHARD_ROWS]
     return shards, _positive_blobs(rng, PREDICT_ROWS)
+
+
+def kmeans_inputs(name: str):
+    """``(X, X_new, sample_weight)`` of KMeans case ``name``; the weights
+    are ``None`` for an unweighted case."""
+    _, _, data, dtype, _, weighted, _ = KMEANS_CASES[name]
+    rng = np.random.RandomState(41)
+    centers = rng.uniform(-5.0, 5.0, size=(30, KMEANS_FEATURES))
+    if data == "repeated":
+        rows = centers[rng.randint(0, 30, size=KMEANS_DISTINCT)]
+        rows = rows + 0.5 * rng.standard_normal(rows.shape)
+        X = np.repeat(rows, KMEANS_REPEATS, axis=0)
+    else:
+        X = centers[rng.randint(0, 30, size=KMEANS_ROWS)]
+        X = X + 0.5 * rng.standard_normal(X.shape)
+    X_new = rng.uniform(-6.0, 6.0, size=(PREDICT_ROWS, KMEANS_FEATURES))
+    weights = rng.uniform(0.5, 2.0, size=X.shape[0])
+    return (X.astype(dtype), X_new.astype(dtype),
+            weights if weighted else None)
+
+
+def kmeans_arrays(name: str) -> dict:
+    """The fixture arrays of KMeans case ``name``."""
+    from repro import KMeans
+
+    k, init, _, dtype, pruning, _, n_jobs = KMEANS_CASES[name]
+    X, X_new, weights = kmeans_inputs(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = KMeans(
+            k, init=init, n_init=3, max_iter=40, pruning=pruning,
+            dtype=dtype, random_state=8, n_jobs=n_jobs,
+        ).fit(X, sample_weight=weights)
+    prefix = f"kmeans_{name}__"
+    return {
+        f"{prefix}labels": model.labels_,
+        f"{prefix}inertia": np.float64(model.inertia_),
+        f"{prefix}n_iter": np.int64(model.n_iter_),
+        f"{prefix}centers": model.cluster_centers_,
+        f"{prefix}predict": model.predict(X_new),
+        f"{prefix}transform": model.transform(X_new),
+        f"{prefix}score": np.float64(model.score(X_new)),
+    }
 
 
 def memory_arrays(name: str) -> dict:
@@ -208,14 +282,32 @@ def data_digest() -> np.ndarray:
     return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
 
 
+def kmeans_data_digest() -> np.ndarray:
+    """Sum and first row of every KMeans input, in case order (kept apart
+    from :func:`data_digest`, whose committed value predates these cases)."""
+    parts = []
+    for name in KMEANS_CASES:
+        for array in kmeans_inputs(name):
+            if array is not None:
+                array = np.asarray(array, dtype=np.float64)
+                parts.append([array.sum()])
+                parts.append(array.reshape(-1, array.shape[-1])[0])
+    return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
+
+
 def main() -> None:
-    arrays = {"data_digest": data_digest()}
+    arrays = {
+        "data_digest": data_digest(),
+        "kmeans_data_digest": kmeans_data_digest(),
+    }
     for name in MEMORY_CASES:
         arrays.update(memory_arrays(name))
     for name in SUMMARY_CASES:
         arrays.update(summary_arrays(name))
     for name in FEDERATED_CASES:
         arrays.update(federated_arrays(name))
+    for name in KMEANS_CASES:
+        arrays.update(kmeans_arrays(name))
     np.savez_compressed(FIXTURE, **arrays)
     print("wrote", FIXTURE)
 

@@ -3,8 +3,10 @@
 ``tests/fixtures/kr_paths/kr_paths.npz`` (written by ``make_kr_paths.py``
 in the same directory) pins memory-mode ``KhatriRaoKMeans`` fits on the
 materialized chunked sweep (product aggregator, and the sum aggregator
-forced materialized), ``DataSummary.score``/``refine``, and
-``KhatriRaoFederatedKMeans`` fits with sum and product aggregators.  Every
+forced materialized), ``DataSummary.score``/``refine``,
+``KhatriRaoFederatedKMeans`` fits with sum and product aggregators, and
+``KMeans`` fits with empty-cluster reseeds, weights, float32, pruning on
+and off and ``n_jobs``.  Every
 recomputation must match bit for bit, signs of zero included.
 """
 
@@ -49,6 +51,12 @@ def test_generated_inputs_match_digest(committed):
     _assert_bit_identical(gen.data_digest(), committed["data_digest"], "digest")
 
 
+def test_kmeans_inputs_match_digest(committed):
+    _assert_bit_identical(
+        gen.kmeans_data_digest(), committed["kmeans_data_digest"], "digest"
+    )
+
+
 def test_memory_cases_cover_both_chunk_regimes():
     # One chunk below the grid size and one at least the grid size per
     # configuration, so both the multi-chunk sweep and its single-chunk
@@ -73,3 +81,8 @@ def test_summary_score_refine_equals_fixture(committed, name):
 @pytest.mark.parametrize("name", sorted(gen.FEDERATED_CASES))
 def test_federated_fit_equals_fixture(committed, name):
     _assert_case(committed, gen.federated_arrays(name), f"federated_{name}__")
+
+
+@pytest.mark.parametrize("name", sorted(gen.KMEANS_CASES))
+def test_kmeans_fit_equals_fixture(committed, name):
+    _assert_case(committed, gen.kmeans_arrays(name), f"kmeans_{name}__")
