@@ -24,6 +24,7 @@ __all__ = [
     "check_n_features",
     "check_cardinalities",
     "check_random_state",
+    "check_sample_weight",
     "int_prod",
 ]
 
@@ -171,6 +172,27 @@ def check_positive_int(value, name: str, *, minimum: int = 1) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def check_sample_weight(sample_weight, n_samples: int, dtype=np.float64) -> np.ndarray:
+    """Validate per-sample weights; defaults to all-ones.
+
+    ``dtype`` is the estimator's working dtype: weights are cast once here
+    so the per-point products (``w·X``, weighted inertia) stay in-dtype
+    instead of silently promoting every float32 hot-loop array to float64.
+    """
+    if sample_weight is None:
+        return np.ones(n_samples, dtype=dtype)
+    weights = np.asarray(sample_weight, dtype=dtype).ravel()
+    if weights.shape[0] != n_samples:
+        raise ValidationError(
+            f"sample_weight has length {weights.shape[0]}, expected {n_samples}"
+        )
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValidationError("sample_weight must be finite and non-negative")
+    if weights.sum() <= 0:
+        raise ValidationError("sample_weight must have positive total mass")
+    return weights
 
 
 def check_n_features(X: np.ndarray, n_features: int) -> None:

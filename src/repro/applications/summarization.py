@@ -23,8 +23,7 @@ import numpy as np
 
 from .._validation import check_array, check_positive_int, check_random_state
 from ..core import KhatriRaoKMeans, KMeans
-from ..core._distances import assign_to_nearest
-from ..core.kmeans import kmeans_plus_plus_init
+from ..core._distances import assign_to_nearest, kmeans_plus_plus_init
 from ..exceptions import ValidationError
 
 __all__ = ["SummaryEvaluation", "sampling_summary", "pca_summary", "compare_summaries"]

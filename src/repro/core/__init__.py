@@ -1,7 +1,8 @@
 """Core clustering algorithms: the paper's primary contribution.
 
 * :class:`KMeans` — standard Lloyd's algorithm with k-means++ (Section 3),
-  the baseline the paper compares against;
+  the baseline the paper compares against: a :class:`KhatriRaoKMeans`
+  with one protocentroid set, scored against the materialized centroids;
 * :class:`KhatriRaoKMeans` — Algorithm 1 with closed-form protocentroid
   updates (Proposition 6.1), sum/product aggregators and any number ``p``
   of protocentroid sets;

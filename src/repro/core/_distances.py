@@ -56,11 +56,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from ..runtime.parallel import map_row_blocks
 
 __all__ = [
     "squared_distances",
     "assign_to_nearest",
+    "kmeans_plus_plus_init",
     "merge_row_block_assignments",
     "paired_squared_distances",
     "row_norms_squared",
@@ -269,3 +271,45 @@ def assign_to_nearest(
     return merge_row_block_assignments(
         map_row_blocks(parallel, _block, X.shape[0]), return_second
     )
+
+
+def kmeans_plus_plus_init(
+    X: np.ndarray, n_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding [Arthur & Vassilvitskii, 2007].
+
+    The first centroid is drawn uniformly; each subsequent centroid is a data
+    point sampled with probability proportional to its squared distance to
+    the nearest centroid chosen so far.
+
+    Returns
+    -------
+    array of shape (n_clusters, m)
+    """
+    n = X.shape[0]
+    if n_clusters > n:
+        raise ValidationError(f"n_clusters={n_clusters} exceeds number of samples {n}")
+    # Seeds inherit the data dtype (the estimators' working dtype).
+    centers = np.empty((n_clusters, X.shape[1]), dtype=X.dtype)
+    first = rng.integers(n)
+    centers[0] = X[first]
+    # ‖x‖² once for all seeds — the same bits each call would recompute.
+    norms = row_norms_squared(X)
+    closest = squared_distances(X, centers[:1], x_squared_norms=norms).ravel()
+    for i in range(1, n_clusters):
+        # D² probabilities in float64 whatever the working dtype:
+        # rng.choice normalization is strict, and float32 distances summed
+        # to a float32 total can miss its tolerance.  No-op at float64.
+        closest64 = np.asarray(closest, dtype=np.float64)
+        total = closest64.sum()
+        if total <= 0.0:
+            # All points coincide with chosen centers; fall back to uniform.
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=closest64 / total)
+        centers[i] = X[idx]
+        new_distances = squared_distances(
+            X, centers[i : i + 1], x_squared_norms=norms
+        ).ravel()
+        np.minimum(closest, new_distances, out=closest)
+    return centers

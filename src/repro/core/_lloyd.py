@@ -23,20 +23,20 @@ This module owns the control flow they share:
   estimator name, parameter header, data fingerprint, counters and RNG
   state around each estimator's own state arrays.
 
-``KMeans`` and ``KhatriRaoKMeans`` plug into the batch engine through an
-adapter built inside their ``fit``; it carries the fit's context (``X``,
+``KhatriRaoKMeans`` — and ``KMeans``, its one-set subclass — plugs into
+the batch engine through one adapter built inside ``fit``
+(``kr_kmeans._KhatriRaoLloyd``); it carries the fit's context (``X``,
 ``weights`` — ``None`` or per-row weights, used by the inertia and the
 data fingerprint —, ``x_squared_norms``, the row pool ``parallel``,
 whether the run ``prunes`` and whether it ``logs_fractions``) and
 supplies:
 
-* ``init(rng)`` — a fresh model (centers, or a list of protocentroid
-  sets);
+* ``init(rng)`` — fresh protocentroid sets (the model);
 * ``assign(model, X, x_squared_norms, return_second=False)`` — the full
-  nearest-centroid kernel; ``decode(labels)`` — the labels in the form
-  the hooks below take (``KhatriRaoKMeans``: per-set labels), computed
-  once per iteration; ``assigned_rows(model, labels)`` — the centroid
-  of each flat label, for bound tightening;
+  nearest-centroid kernel; ``decode(labels)`` — the per-set labels the
+  hooks below take, computed once per iteration;
+  ``assigned_rows(model, labels)`` — the centroid of each flat label,
+  for bound tightening;
 * ``update(model, decoded, min_distances, rng)`` — the next model
   (``min_distances`` is ``None`` after a pruned pass);
 * ``shift(old, new)`` — the total squared centroid movement, and
@@ -48,14 +48,13 @@ supplies:
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import CheckpointError, ConvergenceWarning
+from ..exceptions import CheckpointError, ConvergenceWarning, warn_at_call_site
 from ..runtime.checkpoint import (
     check_header_fields,
     data_fingerprint,
@@ -350,13 +349,9 @@ def _restart(est, adapter, rng, restart, resume=None, fp=None, best=None) -> Run
 
 
 def _warn_not_converged(est) -> None:
-    # Called from fit_restarts only: stacklevel 4 skips this function,
-    # fit_restarts and the estimator's fit, so the warning names the line
-    # that called fit().
-    warnings.warn(
+    warn_at_call_site(
         f"{type(est).__name__} did not converge in {est.max_iter} iterations",
         ConvergenceWarning,
-        stacklevel=4,
     )
 
 
@@ -408,7 +403,7 @@ def fit_restarts(est, adapter, rng):
         # ``min`` keeps the first minimum: ties go to the lowest seed.
         return min(runs, key=lambda run: run.inertia), interrupted
 
-    fp = fingerprint(est, adapter.X, adapter.weights)
+    fp = est._data_fingerprint(adapter.X, adapter.weights)
     best = resume = None
     start_restart = 0
     if est.resume_from is not None:

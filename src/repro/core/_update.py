@@ -282,9 +282,15 @@ def _reseed_empty(
     rng: Optional[np.random.Generator],
     num_sets: int,
     q: int,
+    rule=None,
 ) -> None:
-    """Re-seed protocentroids with no assigned mass (Appendix B)."""
+    """Re-seed protocentroids with no assigned mass (Appendix B): each
+    from a random data point split through the aggregator, or all at once
+    by ``rule(updated, empty)`` when given."""
     empty = np.flatnonzero(mass == 0)
+    if empty.size and rule is not None:
+        rule(updated, empty)
+        return
     if empty.size and rng is None:
         raise ValidationError(
             f"protocentroid set {q} has {empty.size} member(s) with no "
@@ -428,16 +434,18 @@ def set_statistics(
         yield q, numerator, denominator, masses[q]
 
 
-def _sweep(X, thetas, set_labels, agg, rng, weights, factored, parallel):
+def _sweep(X, thetas, set_labels, agg, rng, weights, factored, parallel,
+           reseed=None):
     """One closed-form update sweep: the quotient of each set's
-    statistics, then the empty-protocentroid reseed."""
+    statistics, then the empty-protocentroid reseed (by the ``reseed``
+    rule of :func:`_reseed_empty` when given)."""
     X = as_float_array(X)
     new_thetas = [as_float_array(theta).copy() for theta in thetas]
     for q, numerator, denominator, mass in set_statistics(
         X, new_thetas, set_labels, agg, weights, factored, parallel
     ):
         store_quotient(new_thetas[q], numerator, denominator, mass)
-        _reseed_empty(new_thetas[q], mass, X, agg, rng, len(thetas), q)
+        _reseed_empty(new_thetas[q], mass, X, agg, rng, len(thetas), q, reseed)
     return new_thetas
 
 
@@ -503,22 +511,24 @@ def update_protocentroids(
     weights: Optional[np.ndarray] = None,
     factored: Optional[bool] = None,
     parallel=None,
+    reseed=None,
 ) -> List[np.ndarray]:
     """Dispatch one closed-form update to the factored or gather kernel.
 
     ``factored=None`` resolves from the aggregator capability (the ``auto``
     behavior); ``factored=True`` with a non-decomposable aggregator falls
     back to the gather path transparently, mirroring the assignment knob.
+    ``reseed(theta, empty)``, when given, moves the empty protocentroids
+    ``empty`` of a set in place instead of the default random split.
     """
     agg = get_aggregator(aggregator)
     use_factored = agg.supports_factored_update if factored is None else (
         factored and agg.supports_factored_update
     )
-    if use_factored:
-        return update_factored(
-            X, thetas, set_labels, agg, rng, weights, parallel
-        )
-    return update_gather(X, thetas, set_labels, agg, rng, weights, parallel)
+    return _sweep(
+        X, thetas, set_labels, agg, rng, weights, bool(use_factored),
+        parallel, reseed,
+    )
 
 
 def _rest_contribution(

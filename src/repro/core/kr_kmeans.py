@@ -97,6 +97,7 @@ from .._validation import (
     check_n_features,
     check_positive_int,
     check_random_state,
+    check_sample_weight,
 )
 from ..exceptions import NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
@@ -110,11 +111,10 @@ from ..linalg import (
     resolve_working_dtype,
 )
 from ._bounds import check_pruning, dense_drift, drift_inflation_from_tables
-from ._distances import row_norms_squared
+from ._distances import kmeans_plus_plus_init, row_norms_squared
 from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
-from ._lloyd import fit_restarts, state_array
+from ._lloyd import fingerprint, fit_restarts, state_array
 from ._update import UPDATE_MODES, resolve_update, update_protocentroids
-from .kmeans import _check_sample_weight, kmeans_plus_plus_init
 
 __all__ = ["KhatriRaoKMeans"]
 
@@ -124,6 +124,9 @@ def _split_seeds(seeds, cardinalities, aggregator) -> List[np.ndarray]:
     factored into ``p`` parts whose aggregation reproduces it, and set
     ``q`` keeps the ``q``-th part of its own ``h_q`` seeds."""
     p = len(cardinalities)
+    if p == 1:
+        # The one part that aggregates back to a seed is the seed itself.
+        return [seeds]
     thetas = []
     offset = 0
     for q, h in enumerate(cardinalities):
@@ -311,6 +314,9 @@ class KhatriRaoKMeans:
     (4, 2)
     """
 
+    #: Valid ``init`` values; every one but ``"random"`` seeds by k-means++.
+    _init_options = ("random", "kr-k-means++")
+
     def __init__(
         self,
         cardinalities: Sequence[int],
@@ -335,7 +341,7 @@ class KhatriRaoKMeans:
     ) -> None:
         self.cardinalities = check_cardinalities(cardinalities)
         self.aggregator = get_aggregator(aggregator)
-        self.init = check_in(init, "init", ("random", "kr-k-means++"))
+        self.init = check_in(init, "init", self._init_options)
         self.n_init = check_positive_int(n_init, "n_init")
         self.max_iter = check_positive_int(max_iter, "max_iter")
         self.tol = float(tol)
@@ -435,7 +441,7 @@ class KhatriRaoKMeans:
         # the exact-but-wasted multiply by an all-ones weight column.
         weights = (
             None if sample_weight is None
-            else _check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
+            else check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
         )
         rng = check_random_state(self.random_state)
         with open_row_pool(self.n_threads) as pool:
@@ -457,9 +463,7 @@ class KhatriRaoKMeans:
 
     def predict(self, X) -> np.ndarray:
         """Assign each row of ``X`` to its nearest reconstructed centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        check_n_features(X, self.protocentroids_[0].shape[1])
+        X = self._check_new_rows(X)
         with open_row_pool(self.n_threads) as pool:
             labels, _ = self._assign(
                 X, self.protocentroids_, self._should_materialize(X),
@@ -489,8 +493,15 @@ class KhatriRaoKMeans:
     def _check_fitted(self) -> None:
         if self.protocentroids_ is None:
             raise NotFittedError(
-                "this KhatriRaoKMeans instance is not fitted yet; call fit first"
+                f"this {type(self).__name__} instance is not fitted yet; "
+                "call fit first"
             )
+
+    def _check_new_rows(self, X) -> np.ndarray:
+        self._check_fitted()
+        X = check_array(X, dtype=self.protocentroids_[0].dtype)
+        check_n_features(X, self.protocentroids_[0].shape[1])
+        return X
 
     def _should_materialize(self, X: np.ndarray) -> bool:
         if self.mode == "time":
@@ -507,7 +518,7 @@ class KhatriRaoKMeans:
         if self.init == "random":
             return _random_protocentroids(X, self.cardinalities, self.aggregator, rng)
         # Sample sum(h_q) far-apart data points with k-means++ D²-sampling
-        # (Section 6, "Initialization").
+        # (Section 6, "Initialization"); with one set this is plain k-means++.
         total = sum(self.cardinalities)
         seeds = kmeans_plus_plus_init(X, min(total, X.shape[0]), rng)
         if seeds.shape[0] < total:
@@ -544,6 +555,7 @@ class KhatriRaoKMeans:
         rng: np.random.Generator,
         weights: Optional[np.ndarray] = None,
         parallel=None,
+        reseed=None,
     ) -> List[np.ndarray]:
         """One closed-form update sweep, routed by the ``update`` knob.
 
@@ -553,13 +565,20 @@ class KhatriRaoKMeans:
         (:func:`~repro.core._update.grouped_statistics`), shared by the
         update denominator and the empty-cluster reseed, and both accept
         a row pool — per-block partials folded in ascending
-        block order, bit-identical at every pool width.
+        block order, bit-identical at every pool width.  ``reseed`` is
+        the empty-protocentroid rule (:meth:`_empty_reseed`).
         """
         return update_protocentroids(
             X, thetas, set_labels, self.aggregator, rng,
             weights=weights, factored=self.uses_factored_update,
-            parallel=parallel,
+            parallel=parallel, reseed=reseed,
         )
+
+    def _empty_reseed(self, adapter, thetas, min_distances):
+        """The empty-protocentroid rule of one update from ``thetas``:
+        ``None`` for the default, a random data point split through the
+        aggregator (:func:`repro.core._update.update_protocentroids`)."""
+        return None
 
     # --------------------------------------------------------- checkpointing
     def _param_header(self) -> dict:
@@ -582,17 +601,28 @@ class KhatriRaoKMeans:
             "dtype": np.dtype(self.dtype_).name,
         }
 
+    #: Whether fits log, and checkpoint, the per-iteration re-scored fractions.
+    _logs_fractions = True
+
+    def _state_keys(self) -> List[str]:
+        """Checkpoint array names of the protocentroid sets."""
+        return [f"theta_{q}" for q in range(len(self.cardinalities))]
+
+    def _data_fingerprint(self, X, weights) -> Optional[dict]:
+        """The data fingerprint of a checkpoint header (``None`` when the
+        fit neither writes nor reads one)."""
+        return fingerprint(self, X, weights)
+
 
 class _KhatriRaoLloyd:
     """``KhatriRaoKMeans`` as an adapter of the Lloyd engine
     (:mod:`._lloyd`)."""
 
-    logs_fractions = True
-
     def __init__(self, est, X, weights, parallel):
         self.est, self.X, self.weights, self.parallel = est, X, weights, parallel
         self.materialize = est._should_materialize(X)
         self.prunes = est._uses_pruning(self.materialize)
+        self.logs_fractions = est._logs_fractions
         # ‖x‖² is constant across iterations and restarts — pay for it once.
         self.x_squared_norms = row_norms_squared(X, parallel=parallel)
 
@@ -615,6 +645,7 @@ class _KhatriRaoLloyd:
         return self.est._update_protocentroids(
             self.X, thetas, set_labels, rng, self.weights,
             parallel=self.parallel,
+            reseed=self.est._empty_reseed(self, thetas, min_distances),
         )
 
     def _chunk_pairs(self, old, new):
@@ -666,10 +697,13 @@ class _KhatriRaoLloyd:
         return assigned, float(drift.max())
 
     def model_arrays(self, thetas, prefix):
-        return {f"{prefix}theta_{q}": theta for q, theta in enumerate(thetas)}
+        return {
+            prefix + key: theta
+            for key, theta in zip(self.est._state_keys(), thetas)
+        }
 
     def read_model(self, arrays, prefix, path):
         return [
-            state_array(arrays, f"{prefix}theta_{q}", self.est.dtype_, path)
-            for q in range(len(self.est.cardinalities))
+            state_array(arrays, prefix + key, self.est.dtype_, path)
+            for key in self.est._state_keys()
         ]

@@ -53,6 +53,7 @@ from .._validation import (
     check_n_features,
     check_positive_int,
     check_random_state,
+    check_sample_weight,
 )
 from ..exceptions import CheckpointError, NotFittedError, ValidationError
 from ..runtime.checkpoint import resolve_checkpoint
@@ -70,7 +71,6 @@ from ._distances import row_norms_squared
 from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
 from ._lloyd import fingerprint, iterate, read_state, state_array, write_state
 from ._update import UPDATE_MODES, resolve_update, set_statistics
-from .kmeans import _check_sample_weight
 from .kr_kmeans import _random_protocentroids
 
 __all__ = ["BatchStats", "MiniBatchKhatriRaoKMeans"]
@@ -342,7 +342,7 @@ class MiniBatchKhatriRaoKMeans:
         # through) a multiply by an all-ones weight column.
         weights = (
             None if sample_weight is None
-            else _check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
+            else check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
         )
         rng = check_random_state(self.random_state)
         # A fresh training run owns its own bounds over X's positional
@@ -451,7 +451,7 @@ class MiniBatchKhatriRaoKMeans:
         batch = check_array(batch, dtype=self.dtype_)
         weights = (
             None if sample_weight is None
-            else _check_sample_weight(
+            else check_sample_weight(
                 sample_weight, batch.shape[0], dtype=batch.dtype
             )
         )

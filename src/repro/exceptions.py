@@ -8,6 +8,12 @@ ones.
 
 from __future__ import annotations
 
+import sys
+import warnings
+
+#: The top-level package: frames of its modules are library frames.
+_PACKAGE = __name__.partition(".")[0]
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -98,6 +104,26 @@ class GoldenMismatchError(MonitoringError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative procedure stopped before reaching its tolerance."""
+
+
+def warn_at_call_site(message: str, category: type) -> None:
+    """``warnings.warn`` attributed to the first frame outside the package.
+
+    A fixed ``stacklevel`` counts the frames between the warning and the
+    user's call, so it points inside the library as soon as the call is
+    nested (a deep fit seeding its centroids, a front-end estimator).
+    Walking the stack names the user's own line at any depth; it does by
+    hand what ``skip_file_prefixes`` does on Python 3.12+ only.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and _is_library_frame(frame):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
+def _is_library_frame(frame) -> bool:
+    name = frame.f_globals.get("__name__", "")
+    return name == _PACKAGE or name.startswith(_PACKAGE + ".")
 
 
 class DtypeFallbackWarning(UserWarning):

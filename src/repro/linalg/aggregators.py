@@ -83,14 +83,13 @@ subclasses default to float64-only until they opt in.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import List, Sequence
 
 import numpy as np
 
 from .._validation import as_float_array, check_dtype, int_prod
-from ..exceptions import DtypeFallbackWarning, ValidationError
+from ..exceptions import DtypeFallbackWarning, ValidationError, warn_at_call_site
 
 __all__ = [
     "Aggregator",
@@ -405,13 +404,12 @@ def resolve_working_dtype(dtype, aggregator) -> np.dtype:
     agg = get_aggregator(aggregator)
     if requested in agg.working_dtypes:
         return requested
-    warnings.warn(
+    warn_at_call_site(
         f"aggregator {agg.name!r} does not support working dtype "
         f"{requested.name!r} (supported: "
         f"{tuple(d.name for d in agg.working_dtypes)}); falling back to "
         "float64",
         DtypeFallbackWarning,
-        stacklevel=2,
     )
     return np.dtype(np.float64)
 

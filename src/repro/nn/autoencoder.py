@@ -227,6 +227,12 @@ def build_autoencoder(
         decoder_mask[-1] = False  # output layer stays dense
     if ranks is None:
         ranks = default_ranks(input_dim, dims[1:], n_hadamard_factors=n_hadamard_factors)
+    elif compressed and len(ranks) != n_layers:
+        raise ValidationError(
+            f"ranks needs one entry per encoder layer ({n_layers}), "
+            f"got {len(ranks)}",
+            field="ranks",
+        )
 
     encoder = _make_stack(
         dims,

@@ -38,11 +38,11 @@ from ._validation import (
     check_dtype,
     check_positive_int,
     check_random_state,
+    check_sample_weight,
     int_prod,
 )
 from .core._factored import assign_khatri_rao
 from .core._update import resolve_update, update_protocentroids
-from .core.kmeans import _check_sample_weight
 from .exceptions import SummaryFormatError, ValidationError
 from .linalg import flat_to_set_labels, get_aggregator, khatri_rao_combine
 from .runtime.checkpoint import read_checkpoint, write_checkpoint
@@ -232,7 +232,7 @@ class DataSummary:
         factored = resolve_update(update, aggregator)
         rng = check_random_state(random_state)
         if sample_weight is not None:
-            sample_weight = _check_sample_weight(
+            sample_weight = check_sample_weight(
                 sample_weight, X.shape[0], dtype=X.dtype
             )
         for _ in range(n_steps):

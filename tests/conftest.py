@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    # Library warnings must name the caller's line (warn_at_call_site): one
+    # attributed to a repro module points into the library, so fail on it.
+    for category in ("ConvergenceWarning", "DtypeFallbackWarning"):
+        config.addinivalue_line(
+            "filterwarnings",
+            f"error::repro.exceptions.{category}:repro(\\.|$)",
+        )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

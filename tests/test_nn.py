@@ -261,6 +261,14 @@ class TestAutoencoder:
 
     def test_explicit_ranks(self):
         ae = build_autoencoder(
-            100, (20, 5), compressed=True, ranks=[3, 3, 3], random_state=0
+            100, (20, 5), compressed=True, ranks=[3, 3], random_state=0
         )
         assert ae.forward(Tensor(np.zeros((2, 100)))).shape == (2, 100)
+
+    @pytest.mark.parametrize("ranks", [[1], [3, 3, 3, 3]])
+    def test_ranks_need_one_entry_per_layer(self, ranks):
+        with pytest.raises(ValidationError) as excinfo:
+            build_autoencoder(
+                100, (20, 10, 5), compressed=True, ranks=ranks, random_state=0
+            )
+        assert excinfo.value.field == "ranks"
