@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_positive_int
+from ..runtime.checkpoint import data_fingerprint
 from ..runtime.parallel import open_row_pool
 from ._distances import kmeans_plus_plus_init, squared_distances
-from ._lloyd import fingerprint
 from .kr_kmeans import KhatriRaoKMeans
 
 __all__ = ["KMeans", "kmeans_plus_plus_init"]
@@ -209,6 +209,8 @@ class KMeans(KhatriRaoKMeans):
         return ["centers"]
 
     def _data_fingerprint(self, X, weights):
+        if self.checkpoint is None and self.resume_from is None:
+            return None
         if weights is None:
             weights = np.ones(X.shape[0], dtype=X.dtype)
-        return fingerprint(self, X, weights)
+        return data_fingerprint(X, weights)

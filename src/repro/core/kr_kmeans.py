@@ -124,9 +124,6 @@ def _split_seeds(seeds, cardinalities, aggregator) -> List[np.ndarray]:
     factored into ``p`` parts whose aggregation reproduces it, and set
     ``q`` keeps the ``q``-th part of its own ``h_q`` seeds."""
     p = len(cardinalities)
-    if p == 1:
-        # The one part that aggregates back to a seed is the seed itself.
-        return [seeds]
     thetas = []
     offset = 0
     for q, h in enumerate(cardinalities):

@@ -23,7 +23,8 @@ no other fixture covers:
   the farthest-point reseed runs) and k-means++ init on blobs, float32
   and float64, pruned and unpruned, with and without weights, plus an
   ``n_jobs=2`` fit: labels, inertia, ``n_iter_``, centers and
-  ``predict``, ``transform`` and ``score`` on held-out rows.
+  ``predict`` and ``score`` on held-out rows, and ``transform`` for the
+  cases in :data:`KMEANS_TRANSFORM_CASES`.
 
 The inputs come from the legacy ``np.random.RandomState`` stream, whose
 output numpy keeps fixed across releases, so only the results are
@@ -105,6 +106,9 @@ KMEANS_CASES["pp_float64_auto_jobs2"] = (
 KMEANS_CASES["reseed_float64_auto_weighted_jobs2"] = (
     150, "random", "repeated", "float64", "auto", True, 2
 )
+#: KMeans cases that also pin ``transform``, one per dtype: it is the
+#: squared distances to the centers every case already pins
+KMEANS_TRANSFORM_CASES = ("pp_float32_none", "pp_float64_none")
 #: distinct rows of the repeated-rows data, each repeated KMEANS_REPEATS times
 KMEANS_DISTINCT = 240
 KMEANS_REPEATS = 5
@@ -179,15 +183,17 @@ def kmeans_arrays(name: str) -> dict:
             dtype=dtype, random_state=8, n_jobs=n_jobs,
         ).fit(X, sample_weight=weights)
     prefix = f"kmeans_{name}__"
-    return {
+    arrays = {
         f"{prefix}labels": model.labels_,
         f"{prefix}inertia": np.float64(model.inertia_),
         f"{prefix}n_iter": np.int64(model.n_iter_),
         f"{prefix}centers": model.cluster_centers_,
         f"{prefix}predict": model.predict(X_new),
-        f"{prefix}transform": model.transform(X_new),
         f"{prefix}score": np.float64(model.score(X_new)),
     }
+    if name in KMEANS_TRANSFORM_CASES:
+        arrays[f"{prefix}transform"] = model.transform(X_new)
+    return arrays
 
 
 def memory_arrays(name: str) -> dict:
