@@ -213,9 +213,18 @@ def check_in(value, name: str, allowed: Sequence) -> object:
 def check_cardinalities(cardinalities, *, name: str = "cardinalities") -> Tuple[int, ...]:
     """Validate a sequence of protocentroid-set cardinalities ``(h_1, ..., h_p)``."""
     try:
-        values = tuple(int(h) for h in cardinalities)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a sequence of integers, got {cardinalities!r}")
+        values = tuple(cardinalities)
+    except TypeError:
+        values = None
+    # int() would silently truncate floats and accept bools and digit strings.
+    if values is None or any(
+        isinstance(h, bool) or not isinstance(h, (int, np.integer))
+        for h in values
+    ):
+        raise ValidationError(
+            f"{name} must be a sequence of integers, got {cardinalities!r}"
+        )
+    values = tuple(int(h) for h in values)
     if len(values) < 1:
         raise ValidationError(f"{name} must contain at least one set cardinality")
     for h in values:

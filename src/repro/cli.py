@@ -341,12 +341,21 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    from .monitoring.evaluation import main as run_goldens
+    from .exceptions import GoldenMismatchError
+    from .monitoring.evaluation import run_suite
 
-    argv = ["--goldens", args.goldens]
-    if args.report:
-        argv += ["--report", args.report]
-    return run_goldens(argv)
+    try:
+        report = run_suite(args.goldens, report_path=args.report)
+    except GoldenMismatchError as exc:
+        print(exc)
+        return 1
+    for entry in report["scenarios"]:
+        print(
+            f"PASS {entry['scenario']}: {entry['n_batches']} batches, "
+            f"{entry['n_alerts']} alerts, {entry['n_actions']} actions"
+        )
+    print(f"{report['n_scenarios']} golden scenario(s) replayed exactly")
+    return 0
 
 
 _COMMANDS = {

@@ -105,6 +105,11 @@ certified margins are seeded per point from the batch's ``‖x‖²`` at
 different squared norm is treated as a *new* point (its cached bounds are
 invalidated), so an identity-contract violation degrades to a full
 re-score instead of a wrong label.
+
+A :class:`StreamingBounds` writes and rebuilds its own part of a
+mini-batch checkpoint (:meth:`~StreamingBounds.to_checkpoint`,
+:meth:`~StreamingBounds.from_checkpoint`), over the one list of its
+per-point arrays, ``_POINT_ARRAYS``.
 """
 
 from __future__ import annotations
@@ -115,6 +120,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..linalg.khatri_rao import khatri_rao_rows
+from ..runtime.checkpoint import state_array
 from ._distances import paired_squared_distances
 
 __all__ = [
@@ -126,6 +132,14 @@ __all__ = [
     "dense_drift",
     "hamerly_step",
 ]
+
+#: name and dtype of each per-point array of a :class:`StreamingBounds`;
+#: only a dynamic (stream) state has the last two
+_POINT_ARRAYS = (
+    ("known", bool), ("labels", np.int64), ("upper", np.float64),
+    ("lower", np.float64), ("u_anchor", np.float64), ("m_anchor", np.float64),
+    ("norms", np.float64), ("margin_base", np.float64),
+)
 
 #: valid values of the estimators' ``pruning`` knob
 PRUNING_MODES = ("auto", "bounds", "none")
@@ -366,7 +380,7 @@ class StreamingBounds:
     __slots__ = (
         "cardinalities", "known", "labels", "upper", "lower",
         "u_anchor", "m_anchor", "cum", "cum_max",
-        "_margin_base", "_eps_factor", "dynamic", "size", "norms",
+        "margin_base", "_eps_factor", "dynamic", "size", "norms",
     )
 
     def __init__(
@@ -380,15 +394,11 @@ class StreamingBounds:
         # Same dtype-aware margin policy as HamerlyBounds: eps factor from
         # the seed dtype, all bound state and maintenance in float64.
         self._eps_factor = _fp_margin_factor(n_features, x_squared_norms.dtype)
-        self._margin_base = self._eps_factor * np.asarray(
+        for name, dtype in _POINT_ARRAYS[:6]:
+            setattr(self, name, np.zeros(n, dtype=dtype))
+        self.margin_base = self._eps_factor * np.asarray(
             x_squared_norms, dtype=np.float64
         )
-        self.known = np.zeros(n, dtype=bool)
-        self.labels = np.zeros(n, dtype=np.int64)
-        self.upper = np.zeros(n)
-        self.lower = np.zeros(n)
-        self.u_anchor = np.zeros(n)
-        self.m_anchor = np.zeros(n)
         self.cum = [np.zeros(h) for h in self.cardinalities]
         self.cum_max = 0.0
         self.dynamic = False
@@ -418,6 +428,9 @@ class StreamingBounds:
         state.norms = np.zeros(0)
         return state
 
+    def _point_arrays(self) -> Tuple[Tuple[str, type], ...]:
+        return _POINT_ARRAYS if self.dynamic else _POINT_ARRAYS[:6]
+
     def _grow_to(self, capacity: int) -> None:
         """Amortized-doubling growth of every per-point array."""
         current = self.known.shape[0]
@@ -425,14 +438,9 @@ class StreamingBounds:
             return
         capacity = max(capacity, 2 * current)
         grown = capacity - current
-        self.known = np.concatenate([self.known, np.zeros(grown, dtype=bool)])
-        self.labels = np.concatenate(
-            [self.labels, np.zeros(grown, dtype=np.int64)]
-        )
-        for name in ("upper", "lower", "u_anchor", "m_anchor",
-                     "_margin_base", "norms"):
+        for name, dtype in self._point_arrays():
             setattr(self, name, np.concatenate(
-                [getattr(self, name), np.zeros(grown)]
+                [getattr(self, name), np.zeros(grown, dtype=dtype)]
             ))
 
     def observe(self, idx: np.ndarray, x_squared_norms: np.ndarray) -> None:
@@ -457,7 +465,7 @@ class StreamingBounds:
         if changed.any():
             self.known[idx[changed]] = False
         self.norms[idx] = norms64
-        self._margin_base[idx] = self._eps_factor * norms64
+        self.margin_base[idx] = self._eps_factor * norms64
 
     def state_arrays(self) -> dict:
         """Per-point state trimmed to the indices actually seen.
@@ -467,18 +475,52 @@ class StreamingBounds:
         carries exactly the same arrays as the uninterrupted stream.
         """
         n = self.size
-        out = {
-            "known": self.known[:n].copy(),
-            "labels": self.labels[:n].copy(),
-            "upper": self.upper[:n].copy(),
-            "lower": self.lower[:n].copy(),
-            "u_anchor": self.u_anchor[:n].copy(),
-            "m_anchor": self.m_anchor[:n].copy(),
+        return {
+            name: getattr(self, name)[:n].copy()
+            for name, _ in self._point_arrays()
         }
-        if self.dynamic:
-            out["norms"] = self.norms[:n].copy()
-            out["margin_base"] = self._margin_base[:n].copy()
-        return out
+
+    @staticmethod
+    def to_checkpoint(state: Optional["StreamingBounds"]) -> Tuple[dict, dict]:
+        """``(header fields, sb_* arrays)`` a mini-batch checkpoint stores
+        for ``state``, or for no bounds (``None``)."""
+        if state is None:
+            return {"has_bounds": False, "cum_max": None}, {}
+        arrays = {f"sb_{name}": a for name, a in state.state_arrays().items()}
+        arrays.update({f"sb_cum_{q}": cum for q, cum in enumerate(state.cum)})
+        return {"has_bounds": True, "cum_max": float(state.cum_max)}, arrays
+
+    @classmethod
+    def from_checkpoint(
+        cls, header: dict, arrays: dict, path, n_features: int,
+        cardinalities: Sequence[int], x_squared_norms=None,
+        seed_dtype=np.float64,
+    ) -> Optional["StreamingBounds"]:
+        """Rebuild what :meth:`to_checkpoint` wrote, or ``None`` when the
+        header records no bounds.
+
+        With ``x_squared_norms`` the state is static over those rows (a
+        resumed fit's), without it a stream's (:meth:`for_stream`).
+        """
+        if not header.get("has_bounds"):
+            return None
+        if x_squared_norms is None:
+            state = cls.for_stream(n_features, cardinalities, seed_dtype)
+        else:
+            state = cls(x_squared_norms, n_features, cardinalities)
+        n = state_array(arrays, "sb_known", bool, path).shape[0]
+        state._grow_to(n)
+        state.size = n
+        for name, dtype in state._point_arrays():
+            getattr(state, name)[:n] = state_array(
+                arrays, f"sb_{name}", dtype, path
+            )
+        state.cum = [
+            state_array(arrays, f"sb_cum_{q}", np.float64, path)
+            for q in range(len(state.cardinalities))
+        ]
+        state.cum_max = float(header["cum_max"])
+        return state
 
     def _assigned_cum(self, labels: np.ndarray) -> np.ndarray:
         """Σ_q cum_q[j_q] for the given flat labels — the Khatri-Rao sum
@@ -502,7 +544,7 @@ class StreamingBounds:
     def record(self, idx: np.ndarray, labels: np.ndarray,
                d1_squared: np.ndarray, d2_squared: np.ndarray) -> None:
         """Store an exact top-2 assignment and anchor the drift totals."""
-        margin = self._margin_base[idx]
+        margin = self.margin_base[idx]
         self.known[idx] = True
         self.labels[idx] = labels
         self.upper[idx] = _certified_upper_bound(

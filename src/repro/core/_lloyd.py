@@ -61,6 +61,7 @@ from ..runtime.checkpoint import (
     read_checkpoint,
     restore_rng_state,
     serialize_rng_state,
+    state_array,
     write_checkpoint,
 )
 from ..runtime.parallel import map_row_blocks
@@ -72,7 +73,6 @@ __all__ = [
     "fit_restarts",
     "iterate",
     "read_state",
-    "state_array",
     "write_state",
 ]
 
@@ -136,16 +136,6 @@ def read_state(est, path, rng=None, **expected):
     if rng is not None:
         restore_rng_state(rng, header["rng_state"])
     return header, arrays
-
-
-def state_array(arrays: dict, key: str, dtype, path) -> np.ndarray:
-    """``arrays[key]`` as a contiguous ``dtype`` array; a typed
-    :class:`CheckpointError` when the checkpoint lacks it."""
-    if key not in arrays:
-        raise CheckpointError(
-            f"{path} is missing state array {key!r}", field=key
-        )
-    return np.ascontiguousarray(arrays[key], dtype=dtype)
 
 
 def _fractions(arrays: dict, key: str) -> Optional[List[float]]:

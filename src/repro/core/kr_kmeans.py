@@ -100,7 +100,7 @@ from .._validation import (
     check_sample_weight,
 )
 from ..exceptions import NotFittedError, ValidationError
-from ..runtime.checkpoint import resolve_checkpoint
+from ..runtime.checkpoint import resolve_checkpoint, state_array
 from ..runtime.parallel import open_row_pool, resolve_parallel
 from ..linalg import (
     flat_to_set_labels,
@@ -113,7 +113,7 @@ from ..linalg import (
 from ._bounds import check_pruning, dense_drift, drift_inflation_from_tables
 from ._distances import kmeans_plus_plus_init, row_norms_squared
 from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
-from ._lloyd import fingerprint, fit_restarts, state_array
+from ._lloyd import fingerprint, fit_restarts
 from ._update import UPDATE_MODES, resolve_update, update_protocentroids
 
 __all__ = ["KhatriRaoKMeans"]
@@ -149,7 +149,119 @@ def _random_protocentroids(X, cardinalities, aggregator, rng) -> List[np.ndarray
     return _split_seeds(seeds, cardinalities, aggregator)
 
 
-class KhatriRaoKMeans:
+class _KhatriRaoEstimator:
+    """What the batch and mini-batch Khatri-Rao estimators share, over
+    their constructor knobs and the fitted ``protocentroids_``."""
+
+    @property
+    def n_clusters(self) -> int:
+        """Number of representable centroids, ``∏ h_q``."""
+        return num_combinations(self.cardinalities)
+
+    @property
+    def uses_factored_assignment(self) -> bool:
+        """Whether assignment runs through the factored Khatri-Rao kernel.
+
+        Resolves the ``assignment`` knob against the aggregator's
+        capability: True for ``"auto"``/``"factored"`` with a decomposable
+        aggregator (sum), False when forced ``"materialized"`` or when the
+        aggregator (product) requires the materialized fallback.
+        """
+        return resolve_assignment(self.assignment, self.aggregator)
+
+    @property
+    def uses_factored_update(self) -> bool:
+        """Whether protocentroid updates run through the contingency kernel.
+
+        Resolves the ``update`` knob against the aggregator's
+        ``supports_factored_update`` capability: True for
+        ``"auto"``/``"factored"`` with a decomposable aggregator (sum),
+        False when forced ``"gather"`` or when the aggregator (product)
+        requires the gather fallback.
+        """
+        return resolve_update(self.update, self.aggregator)
+
+    def predict(self, X) -> np.ndarray:
+        """Assign each row of ``X`` to its nearest reconstructed centroid."""
+        X = self._check_new_rows(X)
+        with open_row_pool(self.n_threads) as pool:
+            labels, _ = self._assign(
+                X, self.protocentroids_, self._should_materialize(X),
+                parallel=pool,
+            )
+        return labels
+
+    def centroids(self) -> np.ndarray:
+        """Materialize the full ``(∏ h_q, m)`` centroid matrix."""
+        self._check_fitted()
+        return khatri_rao_combine(self.protocentroids_, self.aggregator)
+
+    def parameter_count(self) -> int:
+        """Scalars stored by the summary: ``(∑ h_q) · m``."""
+        self._check_fitted()
+        return int(sum(theta.size for theta in self.protocentroids_))
+
+    # ------------------------------------------------------------ internals
+    def _working_dtype(self, fit: bool = False) -> np.dtype:
+        """The working dtype, resolved against the aggregator (loud float64
+        fallback) by every fit, otherwise once, on first use."""
+        if fit or self.dtype_ is None:
+            self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
+        return self.dtype_
+
+    def _prepare(self, X, sample_weight=None, fit: bool = True):
+        """``(X, weights, rng)`` for a fit, or for one streamed batch, with
+        ``X`` cast once to the working dtype."""
+        X = check_array(
+            X, min_samples=max(self.cardinalities) if fit else 1,
+            dtype=self._working_dtype(fit),
+        )
+        # None stays None: the update kernels and the inertia reduction skip
+        # the exact-but-wasted multiply by an all-ones weight column.
+        weights = (
+            None if sample_weight is None
+            else check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
+        )
+        return X, weights, check_random_state(self.random_state)
+
+    def _check_fitted(self) -> None:
+        if self.protocentroids_ is None:
+            raise NotFittedError(
+                f"this {type(self).__name__} instance is not fitted yet; "
+                "call fit first"
+            )
+
+    def _check_new_rows(self, X) -> np.ndarray:
+        self._check_fitted()
+        X = check_array(X, dtype=self.protocentroids_[0].dtype)
+        check_n_features(X, self.protocentroids_[0].shape[1])
+        return X
+
+    def _should_materialize(self, X: np.ndarray) -> bool:
+        """Whether :meth:`_assign` scores the whole grid at once."""
+        return True
+
+    def _assign(
+        self,
+        X: np.ndarray,
+        thetas: List[np.ndarray],
+        materialize: bool = True,
+        x_squared_norms: Optional[np.ndarray] = None,
+        return_second: bool = False,
+        parallel=None,
+    ) -> Tuple[np.ndarray, ...]:
+        # Time mode scores the whole grid at once; memory mode sweeps it in
+        # chunk_size blocks (factored partial scores, or centroids built
+        # chunk by chunk for the materialized path).
+        return assign_khatri_rao(
+            X, thetas, self.aggregator, assignment=self.assignment,
+            chunk_size=0 if materialize else self.chunk_size,
+            x_squared_norms=x_squared_norms, return_second=return_second,
+            parallel=parallel,
+        )
+
+
+class KhatriRaoKMeans(_KhatriRaoEstimator):
     """Khatri-Rao k-Means clustering (Algorithm 1).
 
     Parameters
@@ -377,37 +489,9 @@ class KhatriRaoKMeans:
 
     # ------------------------------------------------------------------ API
     @property
-    def n_clusters(self) -> int:
-        """Number of representable centroids, ``∏ h_q``."""
-        return num_combinations(self.cardinalities)
-
-    @property
     def n_protocentroids(self) -> int:
         """Number of stored vectors, ``∑ h_q``."""
         return int(sum(self.cardinalities))
-
-    @property
-    def uses_factored_assignment(self) -> bool:
-        """Whether assignment runs through the factored Khatri-Rao kernel.
-
-        Resolves the ``assignment`` knob against the aggregator's
-        capability: True for ``"auto"``/``"factored"`` with a decomposable
-        aggregator (sum), False when forced ``"materialized"`` or when the
-        aggregator (product) requires the materialized fallback.
-        """
-        return resolve_assignment(self.assignment, self.aggregator)
-
-    @property
-    def uses_factored_update(self) -> bool:
-        """Whether protocentroid updates run through the contingency kernel.
-
-        Resolves the ``update`` knob against the aggregator's
-        ``supports_factored_update`` capability: True for
-        ``"auto"``/``"factored"`` with a decomposable aggregator (sum),
-        False when forced ``"gather"`` or when the aggregator (product)
-        requires the gather fallback.
-        """
-        return resolve_update(self.update, self.aggregator)
 
     def _uses_pruning(self, materialize: bool) -> bool:
         """Resolve the ``pruning`` knob for a concrete run configuration."""
@@ -430,17 +514,7 @@ class KhatriRaoKMeans:
         in the closed-form protocentroid updates (the weighted form of
         Proposition 6.1).
         """
-        # Resolve the requested dtype against the aggregator capability
-        # (loud float64 fallback), then cast exactly once for the whole fit.
-        self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        X = check_array(X, min_samples=max(self.cardinalities), dtype=self.dtype_)
-        # None stays None: the update kernels and the inertia reduction skip
-        # the exact-but-wasted multiply by an all-ones weight column.
-        weights = (
-            None if sample_weight is None
-            else check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
-        )
-        rng = check_random_state(self.random_state)
+        X, weights, rng = self._prepare(X, sample_weight)
         with open_row_pool(self.n_threads) as pool:
             best, interrupted = fit_restarts(
                 self, _KhatriRaoLloyd(self, X, weights, pool), rng
@@ -458,26 +532,6 @@ class KhatriRaoKMeans:
         """Fit and return flat centroid labels for the training data."""
         return self.fit(X).labels_
 
-    def predict(self, X) -> np.ndarray:
-        """Assign each row of ``X`` to its nearest reconstructed centroid."""
-        X = self._check_new_rows(X)
-        with open_row_pool(self.n_threads) as pool:
-            labels, _ = self._assign(
-                X, self.protocentroids_, self._should_materialize(X),
-                parallel=pool,
-            )
-        return labels
-
-    def centroids(self) -> np.ndarray:
-        """Materialize the full ``(∏ h_q, m)`` centroid matrix."""
-        self._check_fitted()
-        return khatri_rao_combine(self.protocentroids_, self.aggregator)
-
-    def parameter_count(self) -> int:
-        """Scalars stored by the summary: ``(∑ h_q) · m``."""
-        self._check_fitted()
-        return int(sum(theta.size for theta in self.protocentroids_))
-
     def set_assignments(self, labels: Optional[np.ndarray] = None) -> np.ndarray:
         """Decode flat centroid labels into per-set protocentroid indices."""
         if labels is None:
@@ -487,19 +541,6 @@ class KhatriRaoKMeans:
         return flat_to_set_labels(labels, self.cardinalities)
 
     # ------------------------------------------------------------ internals
-    def _check_fitted(self) -> None:
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                f"this {type(self).__name__} instance is not fitted yet; "
-                "call fit first"
-            )
-
-    def _check_new_rows(self, X) -> np.ndarray:
-        self._check_fitted()
-        X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        check_n_features(X, self.protocentroids_[0].shape[1])
-        return X
-
     def _should_materialize(self, X: np.ndarray) -> bool:
         if self.mode == "time":
             return True
@@ -522,26 +563,6 @@ class KhatriRaoKMeans:
             extra = X[rng.choice(X.shape[0], size=total - seeds.shape[0])]
             seeds = np.vstack([seeds, extra])
         return _split_seeds(seeds, self.cardinalities, self.aggregator)
-
-    # -- assignment ---------------------------------------------------------
-    def _assign(
-        self,
-        X: np.ndarray,
-        thetas: List[np.ndarray],
-        materialize: bool,
-        x_squared_norms: Optional[np.ndarray] = None,
-        return_second: bool = False,
-        parallel=None,
-    ) -> Tuple[np.ndarray, ...]:
-        # Time mode scores the whole grid at once; memory mode sweeps it in
-        # chunk_size blocks (factored partial scores, or centroids built
-        # chunk by chunk for the materialized path).
-        return assign_khatri_rao(
-            X, thetas, self.aggregator, assignment=self.assignment,
-            chunk_size=0 if materialize else self.chunk_size,
-            x_squared_norms=x_squared_norms, return_second=return_second,
-            parallel=parallel,
-        )
 
     # -- protocentroid updates (Proposition 6.1, generalized to p sets) -----
     def _update_protocentroids(

@@ -35,6 +35,13 @@ to the anonymous (unpruned) stream.  Every completed step also publishes a
 read-only :class:`BatchStats` snapshot (``last_batch_stats_``), the
 contract the :mod:`repro.monitoring` drift engine consumes without
 reaching into private attributes.
+
+Every batch, from :meth:`~MiniBatchKhatriRaoKMeans.fit` or either kind of
+:meth:`~MiniBatchKhatriRaoKMeans.partial_fit`, runs through one step
+method.  The estimator surface shared with
+:class:`~repro.core.kr_kmeans.KhatriRaoKMeans` lives in their common base
+class, and the bounds write and rebuild their own part of a checkpoint
+(:meth:`~repro.core._bounds.StreamingBounds.to_checkpoint`).
 """
 
 from __future__ import annotations
@@ -53,25 +60,17 @@ from .._validation import (
     check_n_features,
     check_positive_int,
     check_random_state,
-    check_sample_weight,
 )
 from ..exceptions import CheckpointError, NotFittedError, ValidationError
-from ..runtime.checkpoint import resolve_checkpoint
+from ..runtime.checkpoint import resolve_checkpoint, state_array
 from ..runtime.parallel import open_row_pool, resolve_parallel
-from ..linalg import (
-    flat_to_set_labels,
-    get_aggregator,
-    khatri_rao_combine,
-    khatri_rao_rows,
-    num_combinations,
-    resolve_working_dtype,
-)
+from ..linalg import flat_to_set_labels, get_aggregator, khatri_rao_rows
 from ._bounds import StreamingBounds, check_pruning
 from ._distances import row_norms_squared
-from ._factored import ASSIGNMENT_MODES, assign_khatri_rao, resolve_assignment
-from ._lloyd import fingerprint, iterate, read_state, state_array, write_state
-from ._update import UPDATE_MODES, resolve_update, set_statistics
-from .kr_kmeans import _random_protocentroids
+from ._factored import ASSIGNMENT_MODES
+from ._lloyd import _fractions, fingerprint, iterate, read_state, write_state
+from ._update import UPDATE_MODES, set_statistics
+from .kr_kmeans import _KhatriRaoEstimator, _random_protocentroids
 
 __all__ = ["BatchStats", "MiniBatchKhatriRaoKMeans"]
 
@@ -129,7 +128,7 @@ class BatchStats:
         }
 
 
-class MiniBatchKhatriRaoKMeans:
+class MiniBatchKhatriRaoKMeans(_KhatriRaoEstimator):
     """Streaming Khatri-Rao-k-Means with mini-batch updates.
 
     Parameters
@@ -228,7 +227,7 @@ class MiniBatchKhatriRaoKMeans:
         pruned :meth:`fit` steps, indexed :meth:`partial_fit` batches, and
         anonymous batches that could not prune (recorded as 1.0) — appends
         exactly one entry, so the list always aligns with ``n_steps_``
-        (one code path, :meth:`_finish_step`).
+        (one code path, :meth:`_step`).
     last_batch_stats_ : BatchStats or None
         Read-only statistics snapshot of the most recently completed step
         (``None`` before the first step) — the stable monitoring surface.
@@ -298,21 +297,6 @@ class MiniBatchKhatriRaoKMeans:
         self._stream_state: Optional[StreamingBounds] = None
 
     @property
-    def n_clusters(self) -> int:
-        """Number of representable centroids, ``∏ h_q``."""
-        return num_combinations(self.cardinalities)
-
-    @property
-    def uses_factored_assignment(self) -> bool:
-        """Whether assignment runs through the factored Khatri-Rao kernel."""
-        return resolve_assignment(self.assignment, self.aggregator)
-
-    @property
-    def uses_factored_update(self) -> bool:
-        """Whether batch statistics run through the contingency kernel."""
-        return resolve_update(self.update, self.aggregator)
-
-    @property
     def uses_pruning(self) -> bool:
         """Whether :meth:`fit` tracks cross-step Hamerly bounds.
 
@@ -334,17 +318,7 @@ class MiniBatchKhatriRaoKMeans:
         objective.  ``sample_weight=None`` reproduces the unweighted
         schedule bit for bit.
         """
-        self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        X = check_array(
-            X, min_samples=max(self.cardinalities), dtype=self.dtype_
-        )
-        # None stays None: the unweighted schedule must not pay (or round
-        # through) a multiply by an all-ones weight column.
-        weights = (
-            None if sample_weight is None
-            else check_sample_weight(sample_weight, X.shape[0], dtype=X.dtype)
-        )
-        rng = check_random_state(self.random_state)
+        X, weights, rng = self._prepare(X, sample_weight)
         # A fresh training run owns its own bounds over X's positional
         # indices; any point-identity stream state from earlier
         # partial_fit calls names a different universe — and its step
@@ -356,7 +330,12 @@ class MiniBatchKhatriRaoKMeans:
             return self._fit(X, weights, rng, pool)
 
     def _fit(self, X, weights, rng, parallel) -> "MiniBatchKhatriRaoKMeans":
-        x_squared_norms = row_norms_squared(X, parallel=parallel)
+        # ‖x‖² only seeds the bounds: an unpruned fit never reads X whole
+        # before its final labeling.
+        x_squared_norms = (
+            row_norms_squared(X, parallel=parallel) if self.uses_pruning
+            else None
+        )
         fp = fingerprint(self, X, weights)
         smoothed_shift, start = np.inf, 1
         if self.resume_from is not None:
@@ -384,21 +363,14 @@ class MiniBatchKhatriRaoKMeans:
                 X.shape[0], size=min(self.batch_size, X.shape[0]),
                 replace=False,
             )
-            batch = X[indices]
             # Fancy-indexed batches (and weights) are gathered copies, so a
             # memory-mapped X is touched batch_size rows per step.
-            wb = None if weights is None else weights[indices]
-            if state is None:
-                shift = self.partial_fit_batch(
-                    batch, rng, sample_weight=wb, parallel=parallel
-                )
-            else:
-                labels, fraction = self._pruned_batch_labels(
-                    batch, indices, state, x_squared_norms[indices], parallel
-                )
-                shift = self._finish_step(
-                    batch, labels, fraction, wb, parallel, state
-                )
+            index = None if state is None else indices
+            shift = self._step(
+                X[indices], None if weights is None else weights[indices],
+                parallel, state, index,
+                None if index is None else x_squared_norms[index],
+            )
             smoothed_shift = shift if not np.isfinite(smoothed_shift) else (
                 0.7 * smoothed_shift + 0.3 * shift
             )
@@ -406,21 +378,23 @@ class MiniBatchKhatriRaoKMeans:
             return smoothed_shift
 
         def save(step):
+            fields, arrays = self._stream_checkpoint(state)
             write_state(self, self.checkpoint.path, {
                 "data": fp,
                 "step": step,
                 "smoothed_shift": float(smoothed_shift),
-                "has_bounds": state is not None,
-                "cum_max": None if state is None else float(state.cum_max),
-            }, self._stream_arrays(state), rng)
+                **fields,
+            }, arrays, rng)
 
         # An interrupt keeps the last-completed-step model: protocentroids
         # and counts advance in place per step (a mid-step interrupt leaves
         # a partially updated sweep — still a valid model to score).
         self.labels_, self.inertia_, _, _, interrupted = iterate(
-            step, lambda: self._assign(X, parallel=parallel), weights,
-            start=start, max_iter=self.max_steps, tol=self.reassignment_tol,
-            callback=self.callback, checkpoint=self.checkpoint, save=save,
+            step,
+            lambda: self._assign(X, self.protocentroids_, parallel=parallel),
+            weights, start=start, max_iter=self.max_steps,
+            tol=self.reassignment_tol, callback=self.callback,
+            checkpoint=self.checkpoint, save=save,
         )
         self.converged_ = not interrupted
         return self
@@ -446,27 +420,24 @@ class MiniBatchKhatriRaoKMeans:
         instead of corrupting labels.  Anonymous batches (``index=None``)
         keep the historical fully-re-scored behavior.
         """
-        if self.dtype_ is None:
-            self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        batch = check_array(batch, dtype=self.dtype_)
-        weights = (
-            None if sample_weight is None
-            else check_sample_weight(
-                sample_weight, batch.shape[0], dtype=batch.dtype
-            )
-        )
+        batch, weights, rng = self._prepare(batch, sample_weight, fit=False)
         index = self._check_stream_index(index, batch.shape[0])
-        rng = check_random_state(self.random_state)
         if self.protocentroids_ is None:
             self._initialize(batch, rng)
         check_n_features(batch, self.protocentroids_[0].shape[1])
         with open_row_pool(self.n_threads) as pool:
+            norms = None
             if index is not None and self.uses_pruning:
-                self._indexed_partial_fit_batch(batch, index, weights, pool)
+                if self._stream_state is None:
+                    self._stream_state = StreamingBounds.for_stream(
+                        batch.shape[1], self.cardinalities,
+                        seed_dtype=batch.dtype,
+                    )
+                norms = row_norms_squared(batch, parallel=pool)
+                self._stream_state.observe(index, norms)
             else:
-                self.partial_fit_batch(
-                    batch, rng, sample_weight=weights, parallel=pool
-                )
+                index = None
+            self._step(batch, weights, pool, self._stream_state, index, norms)
         self.n_steps_ += 1
         return self
 
@@ -481,9 +452,7 @@ class MiniBatchKhatriRaoKMeans:
         inside it.  ``random_state=None`` reuses the estimator's own
         seed; pass a seeded generator for deterministic policy behavior.
         """
-        if self.dtype_ is None:
-            self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
-        batch = check_array(batch, dtype=self.dtype_)
+        batch = check_array(batch, dtype=self._working_dtype())
         rng = check_random_state(
             self.random_state if random_state is None else random_state
         )
@@ -491,42 +460,7 @@ class MiniBatchKhatriRaoKMeans:
         self._stream_state = None
         return self
 
-    def predict(self, X) -> np.ndarray:
-        """Assign rows of ``X`` to their nearest reconstructed centroid."""
-        self._check_fitted()
-        X = check_array(X, dtype=self.protocentroids_[0].dtype)
-        check_n_features(X, self.protocentroids_[0].shape[1])
-        with open_row_pool(self.n_threads) as pool:
-            labels, _ = self._assign(X, parallel=pool)
-        return labels
-
-    def centroids(self) -> np.ndarray:
-        """Materialize the centroid matrix from the protocentroids."""
-        self._check_fitted()
-        return khatri_rao_combine(self.protocentroids_, self.aggregator)
-
-    def parameter_count(self) -> int:
-        """Scalars stored by the summary: ``(∑ h_q) · m``."""
-        self._check_fitted()
-        return int(sum(theta.size for theta in self.protocentroids_))
-
     # ------------------------------------------------------------ internals
-    def _check_fitted(self) -> None:
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "MiniBatchKhatriRaoKMeans is not fitted yet; call fit first"
-            )
-
-    def _assign(
-        self, X: np.ndarray, return_second: bool = False, parallel=None,
-        x_squared_norms: Optional[np.ndarray] = None,
-    ):
-        return assign_khatri_rao(
-            X, self.protocentroids_, self.aggregator,
-            assignment=self.assignment, x_squared_norms=x_squared_norms,
-            return_second=return_second, parallel=parallel,
-        )
-
     def _initialize(self, X: np.ndarray, rng: np.random.Generator) -> None:
         self.protocentroids_ = _random_protocentroids(
             X, self.cardinalities, self.aggregator, rng
@@ -550,28 +484,25 @@ class MiniBatchKhatriRaoKMeans:
             "dtype": np.dtype(self.dtype_).name,
         }
 
-    def _stream_arrays(self, state: Optional[StreamingBounds]) -> dict:
-        """The state arrays of :meth:`fit` checkpoints and :meth:`save_stream`
-        snapshots alike: ``theta_*``, ``counts_*``, ``fractions`` and the
-        streaming bounds ``sb_*`` (trimmed to the points seen)."""
+    def _stream_checkpoint(self, state: Optional[StreamingBounds]):
+        """Header fields and arrays of :meth:`fit` checkpoints and
+        :meth:`save_stream` snapshots alike, the bounds' own included."""
         arrays = {f"theta_{q}": t for q, t in enumerate(self.protocentroids_)}
         arrays.update({f"counts_{q}": c for q, c in enumerate(self._counts)})
         if self.reassignment_fractions_ is not None:
             arrays["fractions"] = np.asarray(
                 self.reassignment_fractions_, dtype=np.float64
             )
-        if state is not None:
-            for name, value in state.state_arrays().items():
-                arrays[f"sb_{name}"] = value
-            for q, cum in enumerate(state.cum):
-                arrays[f"sb_cum_{q}"] = cum
-        return arrays
+        fields, bounds = StreamingBounds.to_checkpoint(state)
+        arrays.update(bounds)
+        return fields, arrays
 
     def _read_stream(
         self, header, arrays, path, x_squared_norms=None
     ) -> Optional[StreamingBounds]:
-        """Restore what :meth:`_stream_arrays` wrote (plus the step count);
-        returns the streaming bounds, or ``None`` when none were saved.
+        """Restore what :meth:`_stream_checkpoint` wrote (plus the step
+        count); returns the streaming bounds, or ``None`` when none were
+        saved.
 
         ``x_squared_norms`` rebuilds :meth:`fit`'s bounds over the training
         rows; without it the bounds are a point-identity stream's.
@@ -584,34 +515,11 @@ class MiniBatchKhatriRaoKMeans:
             state_array(arrays, f"counts_{q}", np.float64, path) for q in range(p)
         ]
         self.n_steps_ = int(header["step"])
-        self.reassignment_fractions_ = (
-            [float(f) for f in arrays["fractions"]] if "fractions" in arrays
-            else None
+        self.reassignment_fractions_ = _fractions(arrays, "fractions")
+        return StreamingBounds.from_checkpoint(
+            header, arrays, path, self.protocentroids_[0].shape[1],
+            self.cardinalities, x_squared_norms, seed_dtype=self.dtype_,
         )
-        if not header.get("has_bounds"):
-            return None
-        n_features = self.protocentroids_[0].shape[1]
-        if x_squared_norms is None:
-            state = StreamingBounds.for_stream(
-                n_features, self.cardinalities, seed_dtype=self.dtype_
-            )
-        else:
-            state = StreamingBounds(x_squared_norms, n_features, self.cardinalities)
-        n = state_array(arrays, "sb_known", bool, path).shape[0]
-        state._grow_to(n)
-        state.size = n
-        names = ["known", "labels", "upper", "lower", "u_anchor", "m_anchor"]
-        if state.dynamic:
-            names += ["norms", "margin_base"]
-        for name in names:
-            dtype = {"known": bool, "labels": np.int64}.get(name, np.float64)
-            attr = "_margin_base" if name == "margin_base" else name
-            getattr(state, attr)[:n] = state_array(arrays, f"sb_{name}", dtype, path)
-        state.cum = [
-            state_array(arrays, f"sb_cum_{q}", np.float64, path) for q in range(p)
-        ]
-        state.cum_max = float(header["cum_max"])
-        return state
 
     # ------------------------------------------------- stream checkpointing
     def save_stream(self, path, extra_header: Optional[dict] = None):
@@ -631,14 +539,13 @@ class MiniBatchKhatriRaoKMeans:
                 "MiniBatchKhatriRaoKMeans has no stream state to save; "
                 "call fit or partial_fit first"
             )
-        state = self._stream_state
         stats = self.last_batch_stats_
+        bounds, arrays = self._stream_checkpoint(self._stream_state)
         fields = {
             "kind": "stream",
             "step": self.n_steps_,
             "has_fractions": self.reassignment_fractions_ is not None,
-            "has_bounds": state is not None,
-            "cum_max": None if state is None else float(state.cum_max),
+            **bounds,
             "stats": None if stats is None else stats.to_dict(),
         }
         for key in extra_header or {}:
@@ -648,7 +555,6 @@ class MiniBatchKhatriRaoKMeans:
                     "stream checkpoint schema"
                 )
         fields.update(extra_header or {})
-        arrays = self._stream_arrays(state)
         if stats is not None:
             arrays["stats_labels"] = np.asarray(stats.labels, dtype=np.int64)
             for q, table in enumerate(stats.drift_norms):
@@ -671,8 +577,7 @@ class MiniBatchKhatriRaoKMeans:
     def _restore_stream(self, path) -> dict:
         """:meth:`load_stream`, returning the archive's header so a
         wrapper reads its own fields without reading the archive again."""
-        if self.dtype_ is None:
-            self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
+        self._working_dtype()
         header, arrays = read_state(self, path, kind="stream")
         self._stream_state = self._read_stream(header, arrays, path)
         self.last_batch_stats_ = None
@@ -690,25 +595,6 @@ class MiniBatchKhatriRaoKMeans:
                 labels=labels, drift_norms=tables, **fields
             )
         return header
-
-    def partial_fit_batch(
-        self,
-        batch: np.ndarray,
-        rng: np.random.Generator,
-        sample_weight: Optional[np.ndarray] = None,
-        parallel=None,
-    ) -> float:
-        """One fully-re-scored mini-batch step; returns the total squared
-        protocentroid shift.
-
-        Anonymous batches cannot prune, but when a point-identity stream
-        is active its drift tables still advance here — otherwise a mixed
-        indexed/anonymous stream would certify stale bounds.
-        """
-        labels, _ = self._assign(batch, parallel=parallel)
-        return self._finish_step(
-            batch, labels, 1.0, sample_weight, parallel, self._stream_state
-        )
 
     @staticmethod
     def _check_stream_index(index, n_rows: int) -> Optional[np.ndarray]:
@@ -741,26 +627,6 @@ class MiniBatchKhatriRaoKMeans:
             raise ValidationError("index ids must not repeat within a batch")
         return index
 
-    def _indexed_partial_fit_batch(
-        self, batch, index, sample_weight, parallel
-    ) -> float:
-        """One point-identity stream step: bounds-pruned labels, then the
-        shared step tail.  Bit-identical to :meth:`partial_fit_batch` on
-        the same batch sequence."""
-        state = self._stream_state
-        if state is None:
-            state = self._stream_state = StreamingBounds.for_stream(
-                batch.shape[1], self.cardinalities, seed_dtype=batch.dtype
-            )
-        norms = row_norms_squared(batch, parallel=parallel)
-        state.observe(index, norms)
-        labels, fraction = self._pruned_batch_labels(
-            batch, index, state, norms, parallel
-        )
-        return self._finish_step(
-            batch, labels, fraction, sample_weight, parallel, state
-        )
-
     def _pruned_batch_labels(
         self, batch: np.ndarray, indices: np.ndarray, state: StreamingBounds,
         x_squared_norms: np.ndarray, parallel=None,
@@ -780,8 +646,8 @@ class MiniBatchKhatriRaoKMeans:
         if stale.any():
             sub = indices[stale]
             new_labels, d1, d2 = self._assign(
-                batch[stale], return_second=True, parallel=parallel,
-                x_squared_norms=x_squared_norms[stale],
+                batch[stale], self.protocentroids_, return_second=True,
+                parallel=parallel, x_squared_norms=x_squared_norms[stale],
             )
             labels[stale] = new_labels
             state.record(sub, new_labels, d1, d2)
@@ -809,30 +675,34 @@ class MiniBatchKhatriRaoKMeans:
         weights = np.asarray(sample_weight, dtype=np.float64)
         return float((squared * weights).sum(dtype=np.float64))
 
-    def _note_fraction(self, fraction: float) -> None:
-        """The single ``reassignment_fractions_`` bookkeeping path: one
-        entry per completed step when pruning is enabled, ``None``
-        untouched when it is not."""
-        if not self.uses_pruning:
-            return
-        if self.reassignment_fractions_ is None:
-            self.reassignment_fractions_ = []
-        self.reassignment_fractions_.append(float(fraction))
-
-    def _finish_step(
+    def _step(
         self,
         batch: np.ndarray,
-        labels: np.ndarray,
-        fraction: float,
         sample_weight: Optional[np.ndarray],
         parallel,
         state: Optional[StreamingBounds] = None,
+        index: Optional[np.ndarray] = None,
+        x_squared_norms: Optional[np.ndarray] = None,
     ) -> float:
-        """Shared tail of every mini-batch step, pruned or not: batch
-        inertia against the pre-update protocentroids, the protocentroid
-        update, drift accumulation into the active bounds, and the single
-        bookkeeping path for ``reassignment_fractions_`` and
-        ``last_batch_stats_``.  Returns the total squared shift."""
+        """One mini-batch step from any batch source; returns the total
+        squared protocentroid shift.
+
+        Labels come from the bounds ``state`` for a batch with point
+        ``index`` ids (and its rows' ``x_squared_norms``), else from the
+        full assignment.  The drift then advances ``state`` either way, or
+        an anonymous batch would leave a stream's bounds stale.  The one
+        path that logs ``reassignment_fractions_`` (when ``uses_pruning``)
+        and publishes ``last_batch_stats_``.
+        """
+        if index is None:
+            labels, _ = self._assign(
+                batch, self.protocentroids_, parallel=parallel
+            )
+            fraction = 1.0
+        else:
+            labels, fraction = self._pruned_batch_labels(
+                batch, index, state, x_squared_norms, parallel
+            )
         inertia = self._batch_inertia(batch, labels, sample_weight)
         shift, drift_tables = self._apply_batch_update(
             batch, labels, collect_drift=True,
@@ -840,7 +710,10 @@ class MiniBatchKhatriRaoKMeans:
         )
         if state is not None:
             state.advance(drift_tables)
-        self._note_fraction(fraction)
+        if self.uses_pruning:
+            if self.reassignment_fractions_ is None:
+                self.reassignment_fractions_ = []
+            self.reassignment_fractions_.append(float(fraction))
         mass = (
             float(batch.shape[0]) if sample_weight is None
             else float(np.sum(sample_weight, dtype=np.float64))

@@ -19,6 +19,7 @@ reparameterization (Section 7) for every centroid-based method.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,7 +35,12 @@ from .._validation import (
 from ..autodiff import Tensor, no_grad
 from ..core import KhatriRaoKMeans, KMeans
 from ..core._distances import assign_to_nearest
-from ..exceptions import NotFittedError, ValidationError
+from ..exceptions import (
+    ConvergenceWarning,
+    NotFittedError,
+    ValidationError,
+    warn_at_call_site,
+)
 from ..linalg import get_aggregator
 from ..nn import Adam, Autoencoder, Trainer, build_autoencoder
 from ..nn.autoencoder import SMALL_HIDDEN_DIMS
@@ -163,7 +169,20 @@ class BaseDeepClustering:
 
         self.autoencoder_, self.pretrain_loss_ = self._build_and_pretrain(X, rng)
         Z = self.autoencoder_.transform(X)
-        self.centroid_params_ = self._init_centroid_params(Z, rng)
+        # The latent k-means is a step of the fit the user called, so its
+        # convergence warnings name this estimator; others pass through.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            self.centroid_params_ = self._init_centroid_params(Z, rng)
+        for w in caught:
+            if issubclass(w.category, ConvergenceWarning):
+                warn_at_call_site(
+                    f"{type(self).__name__} latent initialization: "
+                    f"{w.message}", w.category,
+                )
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename,
+                                       w.lineno, source=w.source)
         self._joint_training(X, rng)
 
         Z = self.autoencoder_.transform(X)

@@ -312,39 +312,3 @@ def run_suite(goldens, *, report_path=None) -> Dict:
             mismatches=mismatches,
         )
     return report
-
-
-def main(argv=None) -> int:
-    """``python -m repro.monitoring.evaluation`` — the CI entry point."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.monitoring.evaluation",
-        description="Replay committed golden drift scenarios and fail on "
-        "any behavioral delta.",
-    )
-    parser.add_argument(
-        "--goldens", default="tests/goldens",
-        help="directory of scenario .npz files (default: tests/goldens)",
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="write the JSON alert-timeline report to this path",
-    )
-    args = parser.parse_args(argv)
-    try:
-        report = run_suite(args.goldens, report_path=args.report)
-    except GoldenMismatchError as exc:
-        print(exc)
-        return 1
-    for entry in report["scenarios"]:
-        print(
-            f"PASS {entry['scenario']}: {entry['n_batches']} batches, "
-            f"{entry['n_alerts']} alerts, {entry['n_actions']} actions"
-        )
-    print(f"{report['n_scenarios']} golden scenario(s) replayed exactly")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via repro.cli
-    raise SystemExit(main())

@@ -293,6 +293,16 @@ def read_checkpoint(
     return header, arrays
 
 
+def state_array(arrays: Dict, key: str, dtype, path) -> np.ndarray:
+    """``arrays[key]`` as a contiguous ``dtype`` array; a typed
+    :class:`CheckpointError` when the checkpoint lacks it."""
+    if key not in arrays:
+        raise CheckpointError(
+            f"{path} is missing state array {key!r}", field=key
+        )
+    return np.ascontiguousarray(arrays[key], dtype=dtype)
+
+
 def check_header_fields(header: Dict, expected: Dict, *, path) -> None:
     """Raise :class:`CheckpointError` where ``header`` contradicts ``expected``.
 

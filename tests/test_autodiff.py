@@ -49,6 +49,19 @@ class TestBasics:
         y.backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
+    @pytest.mark.xfail(
+        raises=RecursionError, strict=True,
+        reason="Tensor.backward walks the tape recursively, one Python "
+        "frame per op (ROADMAP: iterative tape walk)",
+    )
+    def test_backward_handles_a_1000_op_chain(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x
+        for _ in range(1000):
+            y = y + 1.0
+        y.sum().backward()
+        np.testing.assert_allclose(x.grad, [1.0, 1.0])
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValidationError):

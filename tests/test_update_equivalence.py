@@ -54,7 +54,7 @@ def _random_problem(seed, cardinalities, n=60, m=5, weighted=False):
     return X, thetas, set_labels, weights
 
 
-def _certified_envelope(X, thetas, set_labels, weights):
+def _certified_envelope(X, thetas, set_labels, weights, gathered, factored):
     """Per-set ``(h_q, m)`` error envelopes for factored-vs-gather numerators.
 
     Both numerators reduce the same ≤ ``n·(p+1)`` terms per protocentroid
@@ -63,6 +63,13 @@ def _certified_envelope(X, thetas, set_labels, weights):
     computed with the kernels' own primitives (grouped sums of ``|w·x|``,
     contingency tables against ``|θ_r|``), and the divide by the weighted
     mass propagates the envelope to the updated protocentroids.
+
+    The sweep is Gauss-Seidel: set ``q`` is reduced against the updated
+    sets ``r < q`` and the old sets ``r > q``.  Each kernel sees its own
+    updated ``θ_r``, so the terms are bounded with the larger of the two,
+    and the drift already present in ``θ_r`` carries into set ``q``
+    exactly through the contingency table: ``C_qr @ |gathered_r −
+    factored_r|``.
     """
     cardinalities = tuple(theta.shape[0] for theta in thetas)
     Xw_abs = np.abs(X) if weights is None else np.abs(X) * weights[:, None]
@@ -72,10 +79,17 @@ def _certified_envelope(X, thetas, set_labels, weights):
     envelopes = []
     for q, h in enumerate(cardinalities):
         abs_terms = grouped_row_sum(set_labels[:, q], Xw_abs, h)
+        carried = np.zeros_like(abs_terms)
         for r, theta in enumerate(thetas):
-            if r != q:
+            if r < q:
+                seen = np.maximum(np.abs(gathered[r]), np.abs(factored[r]))
+                abs_terms = abs_terms + tables[q][r] @ seen
+                carried = carried + tables[q][r] @ np.abs(gathered[r] - factored[r])
+            elif r > q:
                 abs_terms = abs_terms + tables[q][r] @ np.abs(theta)
-        envelopes.append(EPS * (n * p + sum(cardinalities) + 8) * abs_terms)
+        envelopes.append(
+            EPS * (n * p + sum(cardinalities) + 8) * abs_terms + carried
+        )
     return envelopes
 
 
@@ -92,7 +106,9 @@ class TestKernelEquivalence:
         factored = update_factored(
             X, thetas, set_labels, "sum", np.random.default_rng(0), weights
         )
-        envelopes = _certified_envelope(X, thetas, set_labels, weights)
+        envelopes = _certified_envelope(
+            X, thetas, set_labels, weights, gathered, factored
+        )
         mass = [
             np.bincount(set_labels[:, q], weights=weights, minlength=h)
             for q, h in enumerate(cardinalities)
@@ -124,7 +140,9 @@ class TestKernelEquivalence:
         factored = update_factored(
             X, thetas, set_labels, "sum", np.random.default_rng(seed), weights
         )
-        envelopes = _certified_envelope(X, thetas, set_labels, weights)
+        envelopes = _certified_envelope(
+            X, thetas, set_labels, weights, gathered, factored
+        )
         for q, h in enumerate(cardinalities):
             mass = np.bincount(set_labels[:, q], weights=weights, minlength=h)
             non_empty = mass > 0

@@ -89,9 +89,12 @@ class TestCheckCardinalities:
         with pytest.raises(ValidationError):
             check_cardinalities((3, 0))
 
-    def test_rejects_non_integers(self):
+    @pytest.mark.parametrize(
+        "cardinalities", ["ab", (2.9, 3), (True, 3), ("3", "2")]
+    )
+    def test_rejects_non_integers(self, cardinalities):
         with pytest.raises(ValidationError):
-            check_cardinalities("ab")
+            check_cardinalities(cardinalities)
 
 
 class TestCheckRandomState:

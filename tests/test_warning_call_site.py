@@ -45,6 +45,10 @@ def test_nested_deep_fit_warns_at_the_fit_call():
     )
     for w in _caught(ConvergenceWarning, lambda: model.fit(X)):
         assert w.filename == __file__
+        assert str(w.message).startswith(
+            "KhatriRaoDKM latent initialization: KhatriRaoKMeans did not "
+            "converge in"
+        )
 
 
 def test_dtype_fallback_warns_at_the_fit_call():
