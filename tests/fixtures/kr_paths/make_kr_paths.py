@@ -24,14 +24,25 @@ no other fixture covers:
   and float64, pruned and unpruned, with and without weights, plus an
   ``n_jobs=2`` fit: labels, inertia, ``n_iter_``, centers and
   ``predict`` and ``score`` on held-out rows, and ``transform`` for the
-  cases in :data:`KMEANS_TRANSFORM_CASES`.
+  cases in :data:`KMEANS_TRANSFORM_CASES`;
+* :class:`repro.FederatedKMeans` for every case in :data:`FKM_CASES` —
+  float32 and float64, ``local_steps=2``, one dropout schedule, on the
+  federated shards: centers and ``predict``;
+* :class:`repro.NaiveKhatriRao` (product) and
+  :func:`repro.core.decompose_centroids` (sum and product) at ``p = 2``
+  for every case in :data:`NAIVE_CASES` and :data:`DECOMPOSE_CASES`:
+  protocentroids, and the naive fit's labels;
+* :class:`repro.core.XMeans` and :class:`repro.core.GMeans` on small
+  blobs for every case in :data:`GROWTH_CASES`: labels and centers.
 
 The inputs come from the legacy ``np.random.RandomState`` stream, whose
 output numpy keeps fixed across releases, so only the results are
 stored; ``data_digest`` records a checksum of every input so a drifted
 generator fails loudly instead of comparing against the wrong data.
 ``tests/test_kr_paths_fixtures.py`` recomputes every entry and requires
-equality; ``kmeans_data_digest`` does the same for the ``KMeans`` inputs.
+equality; ``kmeans_data_digest`` does the same for the ``KMeans`` inputs
+and ``consumer_data_digest`` for the naive, decomposition and growth
+inputs.
 
 Regenerate only when one of these results changes on purpose::
 
@@ -115,6 +126,27 @@ KMEANS_REPEATS = 5
 KMEANS_ROWS = 1200
 KMEANS_FEATURES = 8
 
+#: FederatedKMeans case -> (n_clusters, dtype, dropout)
+FKM_CASES = {
+    "float64": (16, "float64", False),
+    "float32": (16, "float32", False),
+    "float64_dropout": (16, "float64", True),
+}
+#: NaiveKhatriRao case -> (cardinalities, aggregator)
+NAIVE_CASES = {"product_p2": ((3, 3), "product")}
+#: decompose_centroids case -> (cardinalities, aggregator)
+DECOMPOSE_CASES = {
+    f"{agg}_p2": ((4, 3), agg) for agg in ("sum", "product")
+}
+#: X-Means / G-Means case -> (estimator, k_min, k_max)
+GROWTH_CASES = {
+    f"{estimator.lower()}_{name}": (estimator, k_min, k_max)
+    for estimator in ("XMeans", "GMeans")
+    for name, k_min, k_max in (("grow", 1, 12), ("capped", 2, 4))
+}
+GROWTH_ROWS = 800
+GROWTH_FEATURES = 4
+
 
 def _positive_blobs(rng, rows: int) -> np.ndarray:
     """Blobs on a positive range, so product factors stay well-posed."""
@@ -168,6 +200,25 @@ def kmeans_inputs(name: str):
     weights = rng.uniform(0.5, 2.0, size=X.shape[0])
     return (X.astype(dtype), X_new.astype(dtype),
             weights if weighted else None)
+
+
+def naive_inputs() -> np.ndarray:
+    """Rows of the naive fit (positive, for the product aggregator)."""
+    return _positive_blobs(np.random.RandomState(53), SUMMARY_ROWS)
+
+
+def decompose_inputs() -> np.ndarray:
+    """The ``(12, N_FEATURES)`` centroids every decomposition case
+    approximates."""
+    return np.random.RandomState(59).uniform(0.5, 3.0, size=(12, N_FEATURES))
+
+
+def growth_inputs() -> np.ndarray:
+    """Small blobs shared by the X-Means and G-Means cases."""
+    rng = np.random.RandomState(61)
+    centers = rng.uniform(-5.0, 5.0, size=(6, GROWTH_FEATURES))
+    X = centers[rng.randint(0, 6, size=GROWTH_ROWS)]
+    return X + 0.4 * rng.standard_normal(X.shape)
 
 
 def kmeans_arrays(name: str) -> dict:
@@ -266,6 +317,71 @@ def federated_arrays(name: str) -> dict:
     return arrays
 
 
+def fkm_arrays(name: str) -> dict:
+    """The fixture arrays of FederatedKMeans case ``name``."""
+    from repro import FederatedKMeans
+    from repro.faults import DropoutSchedule
+
+    n_clusters, dtype, dropout = FKM_CASES[name]
+    shards, X_new = federated_inputs()
+    model = FederatedKMeans(
+        n_clusters, n_rounds=N_ROUNDS, local_steps=2, dtype=dtype,
+        random_state=4,
+        participation=DropoutSchedule.from_spec(DROPOUT) if dropout else None,
+    ).fit(shards)
+    prefix = f"fkm_{name}__"
+    return {
+        f"{prefix}centers": model.cluster_centers_,
+        f"{prefix}predict": model.predict(X_new),
+    }
+
+
+def naive_arrays(name: str) -> dict:
+    """The fixture arrays of NaiveKhatriRao case ``name``."""
+    from repro import NaiveKhatriRao
+
+    cardinalities, agg = NAIVE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = NaiveKhatriRao(
+            cardinalities, aggregator=agg, n_init=2, max_iter=30,
+            random_state=6,
+        ).fit(naive_inputs())
+    prefix = f"naive_{name}__"
+    arrays = {f"{prefix}labels": model.labels_}
+    for q, theta in enumerate(model.protocentroids_):
+        arrays[f"{prefix}theta{q}"] = theta
+    return arrays
+
+
+def decompose_arrays(name: str) -> dict:
+    """The fixture arrays of decompose_centroids case ``name``."""
+    from repro.core import decompose_centroids
+
+    cardinalities, agg = DECOMPOSE_CASES[name]
+    thetas, _ = decompose_centroids(
+        decompose_inputs(), cardinalities, aggregator=agg, random_state=7
+    )
+    return {f"decompose_{name}__theta{q}": theta for q, theta in enumerate(thetas)}
+
+
+def growth_arrays(name: str) -> dict:
+    """The fixture arrays of X-Means / G-Means case ``name``."""
+    from repro import core
+
+    estimator, k_min, k_max = GROWTH_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = getattr(core, estimator)(
+            k_min=k_min, k_max=k_max, n_init=2, max_iter=30, random_state=9
+        ).fit(growth_inputs())
+    prefix = f"growth_{name}__"
+    return {
+        f"{prefix}labels": model.labels_,
+        f"{prefix}centers": model.cluster_centers_,
+    }
+
+
 def data_digest() -> np.ndarray:
     """Sum and first row of every generated input, in case order."""
     parts = []
@@ -301,10 +417,21 @@ def kmeans_data_digest() -> np.ndarray:
     return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
 
 
+def consumer_data_digest() -> np.ndarray:
+    """Sum and first row of the naive, decomposition and growth inputs
+    (the federated cases reuse the shards :func:`data_digest` covers)."""
+    parts = []
+    for array in (naive_inputs(), decompose_inputs(), growth_inputs()):
+        parts.append([array.sum()])
+        parts.append(array[0])
+    return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
+
+
 def main() -> None:
     arrays = {
         "data_digest": data_digest(),
         "kmeans_data_digest": kmeans_data_digest(),
+        "consumer_data_digest": consumer_data_digest(),
     }
     for name in MEMORY_CASES:
         arrays.update(memory_arrays(name))
@@ -314,6 +441,14 @@ def main() -> None:
         arrays.update(federated_arrays(name))
     for name in KMEANS_CASES:
         arrays.update(kmeans_arrays(name))
+    for name in FKM_CASES:
+        arrays.update(fkm_arrays(name))
+    for name in NAIVE_CASES:
+        arrays.update(naive_arrays(name))
+    for name in DECOMPOSE_CASES:
+        arrays.update(decompose_arrays(name))
+    for name in GROWTH_CASES:
+        arrays.update(growth_arrays(name))
     np.savez_compressed(FIXTURE, **arrays)
     print("wrote", FIXTURE)
 

@@ -6,8 +6,9 @@ materialized chunked sweep (product aggregator, and the sum aggregator
 forced materialized), ``DataSummary.score``/``refine``,
 ``KhatriRaoFederatedKMeans`` fits with sum and product aggregators, and
 ``KMeans`` fits with empty-cluster reseeds, weights, float32, pruning on
-and off and ``n_jobs``.  Every
-recomputation must match bit for bit, signs of zero included.
+and off and ``n_jobs``, and the closed-form update's other consumers:
+``FederatedKMeans``, the naive decomposition and ``XMeans``/``GMeans``.
+Every recomputation must match bit for bit, signs of zero included.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def test_kmeans_inputs_match_digest(committed):
     )
 
 
+def test_consumer_inputs_match_digest(committed):
+    _assert_bit_identical(
+        gen.consumer_data_digest(), committed["consumer_data_digest"], "digest"
+    )
+
+
 def test_memory_cases_cover_both_chunk_regimes():
     # One chunk below the grid size and one at least the grid size per
     # configuration, so both the multi-chunk sweep and its single-chunk
@@ -86,3 +93,23 @@ def test_federated_fit_equals_fixture(committed, name):
 @pytest.mark.parametrize("name", sorted(gen.KMEANS_CASES))
 def test_kmeans_fit_equals_fixture(committed, name):
     _assert_case(committed, gen.kmeans_arrays(name), f"kmeans_{name}__")
+
+
+@pytest.mark.parametrize("name", sorted(gen.FKM_CASES))
+def test_fkm_fit_equals_fixture(committed, name):
+    _assert_case(committed, gen.fkm_arrays(name), f"fkm_{name}__")
+
+
+@pytest.mark.parametrize("name", sorted(gen.NAIVE_CASES))
+def test_naive_fit_equals_fixture(committed, name):
+    _assert_case(committed, gen.naive_arrays(name), f"naive_{name}__")
+
+
+@pytest.mark.parametrize("name", sorted(gen.DECOMPOSE_CASES))
+def test_decompose_centroids_equals_fixture(committed, name):
+    _assert_case(committed, gen.decompose_arrays(name), f"decompose_{name}__")
+
+
+@pytest.mark.parametrize("name", sorted(gen.GROWTH_CASES))
+def test_growth_fit_equals_fixture(committed, name):
+    _assert_case(committed, gen.growth_arrays(name), f"growth_{name}__")
