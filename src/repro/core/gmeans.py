@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .._validation import check_array, check_positive_int, check_random_state
-from ._distances import assign_to_nearest
 from .kmeans import KMeans
+from .model_selection import _grow_by_splits
 
 __all__ = ["GMeans", "anderson_darling_rejects_gaussian"]
 
@@ -102,39 +102,13 @@ class GMeans:
         rng = check_random_state(self.random_state)
         model = KMeans(self.k_min, n_init=self.n_init, max_iter=self.max_iter,
                        random_state=rng).fit(X)
-        centers = model.cluster_centers_
-        labels = model.labels_
-
-        improved = True
-        while improved and centers.shape[0] < self.k_max:
-            improved = False
-            next_centers = []
-            for idx in range(centers.shape[0]):
-                points = X[labels == idx]
-                split = self._try_split(points, rng)
-                if split is not None and centers.shape[0] + len(next_centers) < self.k_max:
-                    next_centers.extend(split)
-                    improved = True
-                else:
-                    next_centers.append(centers[idx])
-            centers = np.vstack(next_centers)
-            # Warm-started Lloyd refinement.
-            labels, _ = assign_to_nearest(X, centers)
-            for _ in range(self.max_iter):
-                counts = np.bincount(labels, minlength=centers.shape[0])
-                sums = np.zeros_like(centers)
-                np.add.at(sums, labels, X)
-                non_empty = counts > 0
-                new_centers = centers.copy()
-                new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-                if np.allclose(new_centers, centers, atol=1e-7):
-                    centers = new_centers
-                    break
-                centers = new_centers
-                labels, _ = assign_to_nearest(X, centers)
-
+        centers, labels = _grow_by_splits(
+            X, model.cluster_centers_, model.labels_,
+            lambda points, center: self._try_split(points, rng),
+            k_max=self.k_max, max_iter=self.max_iter, atol=1e-7,
+        )
         self.cluster_centers_ = centers
-        self.labels_, _ = assign_to_nearest(X, centers)
+        self.labels_ = labels
         self.n_clusters_ = centers.shape[0]
         return self
 

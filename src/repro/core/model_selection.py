@@ -20,13 +20,14 @@ This module implements:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._validation import check_array, check_positive_int, check_random_state
 from ..exceptions import NotFittedError, ValidationError
 from ._distances import assign_to_nearest
+from ._update import update_protocentroids
 from .kmeans import KMeans
 from .kr_kmeans import KhatriRaoKMeans
 
@@ -74,6 +75,62 @@ def bic_score(
     return log_likelihood - 0.5 * n_parameters * np.log(n)
 
 
+def _grow_by_splits(
+    X: np.ndarray,
+    centers: np.ndarray,
+    labels: np.ndarray,
+    split: Callable[[np.ndarray, np.ndarray], Optional[List[np.ndarray]]],
+    *,
+    k_max: int,
+    max_iter: int,
+    atol: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The split-and-refine growth loop of X-Means and G-Means.
+
+    Each pass asks ``split(points, center)`` for every cluster in order,
+    keeping the two returned children while the model stays below
+    ``k_max`` (the cluster itself otherwise), then refines all centers
+    with warm-started Lloyd iterations (:func:`_refine`).  Growth stops
+    once a pass splits nothing or ``k_max`` is reached.  Returns the
+    final centers and the labels of the last assignment.
+    """
+    improved = True
+    while improved and centers.shape[0] < k_max:
+        improved = False
+        grown: List[np.ndarray] = []
+        for idx in range(centers.shape[0]):
+            children = split(X[labels == idx], centers[idx])
+            if children is not None and centers.shape[0] + len(grown) < k_max:
+                grown.extend(children)
+                improved = True
+            else:
+                grown.append(centers[idx])
+        centers, labels = _refine(X, np.vstack(grown), max_iter, atol)
+    return centers, labels
+
+
+def _refine(
+    X: np.ndarray, centers: np.ndarray, max_iter: int, atol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Warm-started Lloyd refinement: assign, then the closed-form update
+    of :mod:`repro.core._update` (one set, sum aggregator, empty clusters
+    kept in place), until no center moves by more than ``atol``."""
+    for _ in range(max_iter):
+        labels, _ = assign_to_nearest(X, centers)
+        (updated,) = update_protocentroids(
+            X, [centers], labels[:, None], "sum", reseed=_keep_empty
+        )
+        converged = np.allclose(updated, centers, atol=atol)
+        centers = updated
+        if converged:
+            break
+    return centers, assign_to_nearest(X, centers)[0]
+
+
+def _keep_empty(theta: np.ndarray, empty: np.ndarray) -> None:
+    """Reseed rule of :func:`_refine`: an empty cluster keeps its center."""
+
+
 class XMeans:
     """X-Means: k-Means with BIC-driven cluster splitting.
 
@@ -116,47 +173,16 @@ class XMeans:
         model = KMeans(
             self.k_min, n_init=self.n_init, max_iter=self.max_iter, random_state=rng
         ).fit(X)
-        centers = model.cluster_centers_
-        labels = model.labels_
-
-        improved = True
-        while improved and centers.shape[0] < self.k_max:
-            improved = False
-            new_centers: List[np.ndarray] = []
-            for idx in range(centers.shape[0]):
-                points = X[labels == idx]
-                split = self._try_split(points, centers[idx], rng)
-                if split is not None and centers.shape[0] + len(new_centers) < self.k_max:
-                    new_centers.extend(split)
-                    improved = True
-                else:
-                    new_centers.append(centers[idx])
-            centers = np.vstack(new_centers)
-            # Lloyd refinement (warm-started) after the batch of splits.
-            centers, labels = self._lloyd(X, centers)
-
+        centers, labels = _grow_by_splits(
+            X, model.cluster_centers_, model.labels_,
+            lambda points, center: self._try_split(points, center, rng),
+            k_max=self.k_max, max_iter=self.max_iter, atol=1e-6,
+        )
         self.cluster_centers_ = centers
         self.labels_ = labels
         self.n_clusters_ = centers.shape[0]
         self.bic_ = bic_score(X, labels, centers)
         return self
-
-    def _lloyd(self, X: np.ndarray, centers: np.ndarray):
-        labels = None
-        for _ in range(self.max_iter):
-            labels, _ = assign_to_nearest(X, centers)
-            new_centers = centers.copy()
-            counts = np.bincount(labels, minlength=centers.shape[0])
-            sums = np.zeros_like(centers)
-            np.add.at(sums, labels, X)
-            non_empty = counts > 0
-            new_centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-            if np.allclose(new_centers, centers, atol=1e-6):
-                centers = new_centers
-                break
-            centers = new_centers
-        labels, _ = assign_to_nearest(X, centers)
-        return centers, labels
 
     def _try_split(
         self, points: np.ndarray, center: np.ndarray, rng: np.random.Generator

@@ -5,6 +5,12 @@ Phase 1 runs an unconstrained clustering algorithm (k-Means) to obtain
 coordinate descent, alternating the closed-form updates of Eq. 8 to find the
 protocentroid sets whose Khatri-Rao aggregation best approximates them.
 
+Eq. 8 is Proposition 6.1 with the centroid grid as the data: each tuple
+``(j_1, ..., j_p)`` is one point of unit mass, labelled by its own tuple
+indices.  So a sweep is one gather update of :mod:`repro.core._update`
+(:func:`~repro.core._update.update_protocentroids`) on the flat centroids,
+with no kernel of its own.
+
 The paper uses this baseline to demonstrate *why* the joint optimization of
 Khatri-Rao-k-Means is needed: centroids found without the Khatri-Rao
 constraint "may accurately describe the dataset, yet be arbitrarily far from
@@ -25,57 +31,17 @@ from .._validation import (
     check_random_state,
 )
 from ..exceptions import NotFittedError, ValidationError
-from ..linalg import get_aggregator, khatri_rao_combine, num_combinations
+from ..linalg import (
+    flat_to_set_labels,
+    get_aggregator,
+    khatri_rao_combine,
+    num_combinations,
+)
 from ._distances import assign_to_nearest
+from ._update import update_protocentroids
 from .kmeans import KMeans
 
 __all__ = ["decompose_centroids", "NaiveKhatriRao"]
-
-_EPSILON = 1e-12
-
-
-def _update_set(
-    centroids_grid: np.ndarray,
-    thetas: List[np.ndarray],
-    set_index: int,
-    aggregator,
-) -> np.ndarray:
-    """Closed-form coordinate-descent update of one protocentroid set (Eq. 8).
-
-    ``centroids_grid`` has shape ``(h_1, ..., h_p, m)``; the update for the
-    ``j``-th protocentroid of set ``q`` aggregates all centroids whose ``q``-th
-    tuple index equals ``j`` against the other sets' current protocentroids.
-    """
-    p = len(thetas)
-    m = centroids_grid.shape[-1]
-    h_q = thetas[set_index].shape[0]
-    # rest[j_1, ..., j_p, :] = aggregation of every set except set_index.
-    grids = []
-    for l in range(p):
-        if l == set_index:
-            continue
-        shape = [1] * p + [m]
-        shape[l] = thetas[l].shape[0]
-        grids.append(thetas[l].reshape(shape))
-    if grids:
-        rest = grids[0]
-        for grid in grids[1:]:
-            rest = aggregator.pair(rest, grid)
-        rest = np.broadcast_to(rest, centroids_grid.shape)
-    else:
-        rest = aggregator.identity(centroids_grid.shape)
-
-    axes = tuple(l for l in range(p) if l != set_index)
-    numerator, denominator = aggregator.update_terms(centroids_grid, rest)
-    numerator = np.sum(numerator, axis=axes)
-    if denominator is None:
-        return numerator / float(centroids_grid.size // (h_q * m))
-    denominator = np.sum(denominator, axis=axes)
-    updated = thetas[set_index].copy()
-    safe = denominator > _EPSILON
-    updated[safe] = numerator[safe] / denominator[safe]
-    return updated
-
 
 def decompose_centroids(
     centroids: np.ndarray,
@@ -130,17 +96,18 @@ def decompose_centroids(
         block += 1e-3 * rng.normal(size=block.shape) * (np.std(centroids) or 1.0)
         thetas.append(block)
 
+    # Every grid tuple is one unit-mass point labelled by its own indices.
+    set_labels = flat_to_set_labels(np.arange(k), cards)
     previous_error = np.inf
     for _ in range(check_positive_int(max_iter, "max_iter")):
-        for q in range(len(cards)):
-            thetas[q] = _update_set(grid, thetas, q, agg)
+        thetas = update_protocentroids(
+            centroids, thetas, set_labels, agg, factored=False
+        )
         approx = khatri_rao_combine(thetas, agg)
         error = float(np.sum((approx - centroids) ** 2))
         if previous_error - error <= tol:
             break
         previous_error = error
-    approx = khatri_rao_combine(thetas, agg)
-    error = float(np.sum((approx - centroids) ** 2))
     return thetas, error
 
 

@@ -33,8 +33,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._validation import (
+    check_array,
     check_cardinalities,
     check_dtype,
+    check_n_features,
     check_positive_int,
     check_random_state,
     int_prod,
@@ -42,7 +44,6 @@ from .._validation import (
 from ..core._distances import assign_to_nearest
 from ..core._factored import assign_khatri_rao
 from ..core._update import (
-    grouped_statistics,
     resolve_update,
     set_statistics,
     store_quotient,
@@ -87,7 +88,81 @@ class _History:
     communication_bytes: List[int] = field(default_factory=list)
 
 
-class FederatedKMeans:
+class _FederatedRounds:
+    """The round driver FkM and KR-FkM share.
+
+    ``fit`` validates the shards, draws the initial model, then runs
+    ``n_rounds`` rounds: resolve the participants (and the quorum),
+    charge one model broadcast per participant, let the subclass move the
+    model from the participants' reports, and record the global inertia
+    and the cumulative bytes.  ``predict`` validates new rows and assigns
+    them.  A subclass supplies its model init (``_init_model``), its
+    assignment (``_assign``), its centroids (``_centroids``), its round
+    body (``_round``, with its reseed rule) and the name of its fitted
+    model attribute (``_model_attr``).
+    """
+
+    _model_attr: str
+
+    def __init__(
+        self, *, n_rounds, local_steps, dtype, random_state, participation,
+        min_clients,
+    ) -> None:
+        self.n_rounds = check_positive_int(n_rounds, "n_rounds")
+        self.local_steps = check_positive_int(local_steps, "local_steps")
+        self.dtype = check_dtype(dtype)
+        self.random_state = random_state
+        self.participation = _check_participation(participation)
+        self.min_clients = check_positive_int(min_clients, "min_clients")
+        setattr(self, self._model_attr, None)
+        self.dtype_: Optional[np.dtype] = None
+        self.history_ = _History()
+        #: global inertia of the initial (pre-aggregation) model — what
+        #: clients hold at budgets below the first full round's cost.
+        self.initial_inertia_: float = np.inf
+
+    def fit(self, shards: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        """Run federated training over client ``(X, y)`` shards."""
+        self.dtype_ = self._working_dtype()
+        datas = _validate_shards(shards, self.dtype_)
+        rng = check_random_state(self.random_state)
+        self._n_features = datas[0].shape[1]
+        model = self._init_model(datas, rng)
+        self.initial_inertia_ = _global_inertia(datas, self._centroids(model))
+        self.history_ = _History()
+        cumulative_bytes = 0
+        for round_index in range(self.n_rounds):
+            participants = _round_participants(
+                self.participation, round_index, len(datas), self.min_clients
+            )
+            cumulative_bytes += communication_cost_bytes(
+                self.broadcast_vectors(), self._n_features, participants.size,
+                1, itemsize=self.dtype_.itemsize,
+            )
+            self._round(model, [datas[int(ci)] for ci in participants], rng)
+            self.history_.inertia.append(
+                _global_inertia(datas, self._centroids(model))
+            )
+            self.history_.communication_bytes.append(cumulative_bytes)
+        setattr(self, self._model_attr, model)
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        """Assign rows of ``X`` to the aggregated global centroids."""
+        model = getattr(self, self._model_attr)
+        if model is None:
+            raise NotFittedError(
+                f"{type(self).__name__} is not fitted yet; call fit first"
+            )
+        X = check_array(X, dtype=self.dtype_)
+        check_n_features(X, self._n_features)
+        return self._assign(X, model)
+
+    def _working_dtype(self) -> np.dtype:
+        return self.dtype
+
+
+class FederatedKMeans(_FederatedRounds):
     """FkM: server/client federated Lloyd iterations.
 
     Parameters
@@ -128,6 +203,8 @@ class FederatedKMeans:
         Global inertia of the initial (pre-aggregation) model.
     """
 
+    _model_attr = "cluster_centers_"
+
     def __init__(
         self,
         n_clusters: int,
@@ -140,97 +217,55 @@ class FederatedKMeans:
         min_clients: int = 1,
     ) -> None:
         self.n_clusters = check_positive_int(n_clusters, "n_clusters")
-        self.n_rounds = check_positive_int(n_rounds, "n_rounds")
-        self.local_steps = check_positive_int(local_steps, "local_steps")
-        self.dtype = check_dtype(dtype)
-        self.random_state = random_state
-        self.participation = _check_participation(participation)
-        self.min_clients = check_positive_int(min_clients, "min_clients")
-        self.cluster_centers_: Optional[np.ndarray] = None
-        self.dtype_: Optional[np.dtype] = None
-        self.history_ = _History()
-        #: global inertia of the initial (pre-aggregation) model — what
-        #: clients hold at budgets below the first full round's cost.
-        self.initial_inertia_: float = np.inf
-
-    # ------------------------------------------------------------------ API
-    def fit(self, shards: Sequence[Tuple[np.ndarray, np.ndarray]]) -> "FederatedKMeans":
-        """Run federated training over client ``(X, y)`` shards."""
-        self.dtype_ = self.dtype
-        datas = _validate_shards(shards, dtype=self.dtype)
-        rng = check_random_state(self.random_state)
-        m = datas[0].shape[1]
-        centers = _sample_initial_vectors(datas, self.n_clusters, rng)
-        self.initial_inertia_ = _global_inertia(datas, centers)
-        self.history_ = _History()
-        cumulative_bytes = 0
-        for round_index in range(self.n_rounds):
-            participants = _round_participants(
-                self.participation, round_index, len(datas), self.min_clients
-            )
-            cumulative_bytes += communication_cost_bytes(
-                self.n_clusters, m, participants.size, 1,
-                itemsize=self.dtype.itemsize,
-            )
-            # Server-side merge accumulators stay float64 at any working
-            # dtype (documented float64 island, docs/numerics.md); the
-            # store into the working-dtype centers rounds once per round.
-            # Dropped clients contribute nothing: the quotient below is
-            # automatically renormalized over the surviving reports.
-            sums = np.zeros((self.n_clusters, m))
-            counts = np.zeros(self.n_clusters)
-            for X in (datas[int(ci)] for ci in participants):
-                client_centers = centers.copy()
-                for _ in range(self.local_steps):
-                    client_sums, client_counts = self._client_report(
-                        X, client_centers
-                    )
-                    non_empty = client_counts > 0
-                    client_centers[non_empty] = (
-                        client_sums[non_empty] / client_counts[non_empty, None]
-                    )
-                # Client report: statistics under the final local assignment.
-                client_sums, client_counts = self._client_report(
-                    X, client_centers
-                )
-                sums += client_sums
-                counts += client_counts
-            non_empty = counts > 0
-            centers[non_empty] = sums[non_empty] / counts[non_empty, None]
-            empty = np.flatnonzero(~non_empty)
-            if empty.size:
-                # Reseed only from shards that participated this round —
-                # a dropped client's data is unreachable by the server.
-                donor = datas[int(participants[int(rng.integers(participants.size))])]
-                centers[empty] = donor[rng.choice(donor.shape[0], size=empty.size)]
-            self.history_.inertia.append(_global_inertia(datas, centers))
-            self.history_.communication_bytes.append(cumulative_bytes)
-        self.cluster_centers_ = centers
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Assign rows of ``X`` to the aggregated global centroids."""
-        if self.cluster_centers_ is None:
-            raise NotFittedError("FederatedKMeans is not fitted yet; call fit first")
-        labels, _ = assign_to_nearest(
-            np.asarray(X, dtype=self.cluster_centers_.dtype), self.cluster_centers_
+        super().__init__(
+            n_rounds=n_rounds, local_steps=local_steps, dtype=dtype,
+            random_state=random_state, participation=participation,
+            min_clients=min_clients,
         )
-        return labels
 
     def broadcast_vectors(self) -> int:
         """Vectors broadcast per round (``k`` for FkM)."""
         return self.n_clusters
 
+    def _init_model(self, datas, rng) -> np.ndarray:
+        return _sample_initial_vectors(datas, self.n_clusters, rng)
+
+    def _centroids(self, centers: np.ndarray) -> np.ndarray:
+        return centers
+
+    def _assign(self, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        return assign_to_nearest(X, centers)[0]
+
+    def _round(self, centers, round_datas, rng) -> None:
+        """Every participant runs ``local_steps`` Lloyd steps from the
+        broadcast centers and reports its statistics under the final local
+        assignment; the server divides the summed reports (renormalized
+        over the survivors: a dropped client reports nothing) and reseeds
+        each empty cluster from a participating shard."""
+        reports = []
+        for X in round_datas:
+            local = centers.copy()
+            for _ in range(self.local_steps):
+                store_quotient(local, *self._client_report(X, local))
+            reports.append(self._client_report(X, local))
+        merged = _merge_reports(reports)
+        store_quotient(centers, *merged)
+        empty = np.flatnonzero(merged[2] == 0)
+        if empty.size:
+            # A dropped client's data is unreachable by the server.
+            donor = round_datas[int(rng.integers(len(round_datas)))]
+            centers[empty] = donor[rng.choice(donor.shape[0], size=empty.size)]
+
     def _client_report(self, X: np.ndarray, centers: np.ndarray):
-        """Per-cluster sums and counts of ``X`` under its nearest centers."""
-        labels, _ = assign_to_nearest(X, centers)
-        (sums,), (counts,), _ = grouped_statistics(
-            X, labels[:, None], (self.n_clusters,)
-        )
-        return sums, counts
+        """``(numerator, None, mass)`` of ``X`` under its nearest centers:
+        the one-set report KR-FkM clients make."""
+        labels = self._assign(X, centers)
+        return next(set_statistics(
+            X, [centers], labels[:, None], "sum", factored=True, sets=(0,)
+        ))[1:]
 
 
-class KhatriRaoFederatedKMeans:
+class KhatriRaoFederatedKMeans(_FederatedRounds):
     """Khatri-Rao-FkM: federated clustering communicating protocentroids.
 
     The server broadcasts the ``∑ h_q`` protocentroid vectors; each round
@@ -249,6 +284,8 @@ class KhatriRaoFederatedKMeans:
     ``aggregator`` defaults to the product, as in the paper's case study.
     """
 
+    _model_attr = "protocentroids_"
+
     def __init__(
         self,
         cardinalities: Sequence[int],
@@ -263,91 +300,60 @@ class KhatriRaoFederatedKMeans:
     ) -> None:
         self.cardinalities = check_cardinalities(cardinalities)
         self.aggregator = get_aggregator(aggregator)
-        self.n_rounds = check_positive_int(n_rounds, "n_rounds")
-        self.local_steps = check_positive_int(local_steps, "local_steps")
-        self.dtype = check_dtype(dtype)
-        self.random_state = random_state
-        self.participation = _check_participation(participation)
-        self.min_clients = check_positive_int(min_clients, "min_clients")
-        self.protocentroids_: Optional[List[np.ndarray]] = None
-        self.dtype_: Optional[np.dtype] = None
-        self.history_ = _History()
-        #: global inertia of the initial (pre-aggregation) model.
-        self.initial_inertia_: float = np.inf
+        super().__init__(
+            n_rounds=n_rounds, local_steps=local_steps, dtype=dtype,
+            random_state=random_state, participation=participation,
+            min_clients=min_clients,
+        )
 
     @property
     def n_clusters(self) -> int:
         return int_prod(self.cardinalities)
 
-    def fit(
-        self, shards: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> "KhatriRaoFederatedKMeans":
-        """Run federated Khatri-Rao training over client shards."""
-        working = resolve_working_dtype(self.dtype, self.aggregator)
-        self.dtype_ = working
-        datas = _validate_shards(shards, dtype=working)
-        rng = check_random_state(self.random_state)
-        m = datas[0].shape[1]
-        seeds = _sample_initial_vectors(datas, sum(self.cardinalities), rng)
-        thetas = _split_seeds(seeds, self.cardinalities, self.aggregator)
-        self.initial_inertia_ = _global_inertia(
-            datas, khatri_rao_combine(thetas, self.aggregator)
-        )
-
-        factored = resolve_update("auto", self.aggregator)
-        self.history_ = _History()
-        cumulative_bytes = 0
-        for round_index in range(self.n_rounds):
-            participants = _round_participants(
-                self.participation, round_index, len(datas), self.min_clients
-            )
-            round_datas = [datas[int(ci)] for ci in participants]
-            cumulative_bytes += communication_cost_bytes(
-                sum(self.cardinalities), m, participants.size, 1,
-                itemsize=working.itemsize,
-            )
-            for _ in range(self.local_steps):
-                # One global KR-Lloyd step from merged client statistics:
-                # set by set, every client re-assigns its shard against the
-                # partly updated sets and reports set q's statistics.
-                for q in range(len(thetas)):
-                    reports = []
-                    for X in round_datas:
-                        labels, _ = assign_khatri_rao(X, thetas, self.aggregator)
-                        set_labels = flat_to_set_labels(labels, self.cardinalities)
-                        reports.append(next(set_statistics(
-                            X, thetas, set_labels, self.aggregator,
-                            factored=factored, sets=(q,),
-                        ))[1:])
-                    # The float64 reports (numerator, denominator or None,
-                    # mass) sum across clients at any working dtype; the
-                    # quotient rounds once into the working-dtype thetas.
-                    store_quotient(thetas[q], *(
-                        None if parts[0] is None else sum(parts)
-                        for parts in zip(*reports)
-                    ))
-            self.history_.inertia.append(_global_inertia(
-                datas, khatri_rao_combine(thetas, self.aggregator)
-            ))
-            self.history_.communication_bytes.append(cumulative_bytes)
-        self.protocentroids_ = thetas
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Assign rows of ``X`` to the aggregated global centroids."""
-        if self.protocentroids_ is None:
-            raise NotFittedError(
-                "KhatriRaoFederatedKMeans is not fitted yet; call fit first"
-            )
-        thetas = self.protocentroids_
-        labels, _ = assign_khatri_rao(
-            np.asarray(X, dtype=thetas[0].dtype), thetas, self.aggregator
-        )
-        return labels
-
     def broadcast_vectors(self) -> int:
         """Vectors broadcast per round (``∑ h_q`` for Khatri-Rao-FkM)."""
         return int(sum(self.cardinalities))
+
+    def _working_dtype(self) -> np.dtype:
+        return resolve_working_dtype(self.dtype, self.aggregator)
+
+    def _init_model(self, datas, rng) -> List[np.ndarray]:
+        seeds = _sample_initial_vectors(datas, sum(self.cardinalities), rng)
+        return _split_seeds(seeds, self.cardinalities, self.aggregator)
+
+    def _centroids(self, thetas: List[np.ndarray]) -> np.ndarray:
+        return khatri_rao_combine(thetas, self.aggregator)
+
+    def _assign(self, X: np.ndarray, thetas: List[np.ndarray]) -> np.ndarray:
+        return assign_khatri_rao(X, thetas, self.aggregator)[0]
+
+    def _round(self, thetas, round_datas, rng) -> None:
+        """``local_steps`` global KR-Lloyd steps from merged client
+        statistics: set by set, every client re-assigns its shard against
+        the partly updated sets and reports set ``q``'s statistics.  An
+        empty protocentroid keeps its value."""
+        factored = resolve_update("auto", self.aggregator)
+        for _ in range(self.local_steps):
+            for q in range(len(thetas)):
+                reports = []
+                for X in round_datas:
+                    set_labels = flat_to_set_labels(
+                        self._assign(X, thetas), self.cardinalities
+                    )
+                    reports.append(next(set_statistics(
+                        X, thetas, set_labels, self.aggregator,
+                        factored=factored, sets=(q,),
+                    ))[1:])
+                store_quotient(thetas[q], *_merge_reports(reports))
+
+
+def _merge_reports(reports) -> list:
+    """Sum client reports ``(numerator, denominator or None, mass)`` in
+    participant order.  The float64 reports sum at any working dtype; the
+    quotient rounds once into the working-dtype model."""
+    return [
+        None if parts[0] is None else sum(parts) for parts in zip(*reports)
+    ]
 
 
 def _global_inertia(datas: Sequence[np.ndarray], centers: np.ndarray) -> float:
@@ -409,20 +415,18 @@ def _round_participants(
     return participants
 
 
-def _validate_shards(shards, dtype=np.float64) -> List[np.ndarray]:
+def _validate_shards(shards, dtype) -> List[np.ndarray]:
     if not shards:
         raise ValidationError("at least one client shard is required")
-    datas = []
-    m = None
-    for i, shard in enumerate(shards):
-        X = np.asarray(shard[0] if isinstance(shard, tuple) else shard, dtype=dtype)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValidationError(f"client shard {i} must be a non-empty 2-D array")
-        if m is None:
-            m = X.shape[1]
-        elif X.shape[1] != m:
-            raise ValidationError("all client shards must share the feature dimension")
-        datas.append(X)
+    datas = [
+        check_array(
+            shard[0] if isinstance(shard, tuple) else shard,
+            name=f"client shard {i}", dtype=dtype,
+        )
+        for i, shard in enumerate(shards)
+    ]
+    if any(X.shape[1] != datas[0].shape[1] for X in datas):
+        raise ValidationError("all client shards must share the feature dimension")
     return datas
 
 
