@@ -6,9 +6,10 @@ PEP 517 editable installs (which build a wheel) fail.  This shim lets
 ``pip install -e .`` on modern toolchains — work everywhere.
 
 The ``test`` extra pins what the CI unit-test step installs: ``pytest``
-collects the suites and ``hypothesis`` powers the property-based
+collects the suites, ``hypothesis`` powers the property-based
 equivalence grids (factored assignment, bounds pruning, contingency-table
-updates, dtype envelopes).  The serving suites and load-generator
+updates, dtype envelopes) and ``pytest-benchmark`` provides the
+``benchmark`` fixture every paper-figure module in ``benchmarks/`` takes.  The serving suites and load-generator
 benchmark deliberately fit inside the same extra — the server and its
 clients are stdlib-only (http.server, urllib, json, threading), so
 testing them adds no dependency.  Supported Python versions are declared
@@ -64,6 +65,6 @@ setup(
         "Topic :: Scientific/Engineering",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
 )

@@ -21,10 +21,14 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .._validation import check_array, check_positive_int, check_random_state
+from .._validation import (
+    check_array,
+    check_cardinalities,
+    check_positive_int,
+    check_random_state,
+)
 from ..core import KhatriRaoKMeans, KMeans
 from ..core._distances import assign_to_nearest, kmeans_plus_plus_init
-from ..exceptions import ValidationError
 
 __all__ = ["SummaryEvaluation", "sampling_summary", "pca_summary", "compare_summaries"]
 
@@ -106,9 +110,7 @@ def compare_summaries(
     'khatri-rao-k-means(3, 3)'
     """
     X = check_array(X)
-    cards = tuple(int(h) for h in cardinalities)
-    if any(h < 1 for h in cards):
-        raise ValidationError("cardinalities must be positive")
+    cards = check_cardinalities(cardinalities)
     budget = sum(cards)
     m = X.shape[1]
     rng = check_random_state(random_state)

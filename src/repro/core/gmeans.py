@@ -7,17 +7,21 @@ evaluated ... by testing if certain distributional conditions are
 fulfilled".  G-Means splits a cluster whenever its points, projected onto
 the principal axis of a tentative 2-means split, fail an Anderson-Darling
 normality test.
+
+G-Means grows through X-Means' driver (``_SplitGrowth`` in
+:mod:`repro.core.model_selection`); only the split test and the
+refinement tolerance differ.  The refinement runs the one-set
+closed-form update of :mod:`repro.core._update` until the centers move
+less than 1e-7, and the next pass splits clusters by the labels of
+those final centers.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .._validation import check_array, check_positive_int, check_random_state
 from .kmeans import KMeans
-from .model_selection import _grow_by_splits
+from .model_selection import _SplitGrowth
 
 __all__ = ["GMeans", "anderson_darling_rejects_gaussian"]
 
@@ -56,7 +60,7 @@ def anderson_darling_rejects_gaussian(
     return bool(corrected > critical_value)
 
 
-class GMeans:
+class GMeans(_SplitGrowth):
     """G-Means: grow k by splitting non-Gaussian clusters.
 
     Parameters
@@ -76,6 +80,8 @@ class GMeans:
     labels_ : int array (n,)
     """
 
+    _atol = 1e-7
+
     def __init__(
         self,
         *,
@@ -86,33 +92,15 @@ class GMeans:
         max_iter: int = 100,
         random_state=None,
     ) -> None:
-        self.k_min = check_positive_int(k_min, "k_min")
-        self.k_max = check_positive_int(k_max, "k_max", minimum=self.k_min)
-        self.critical_value = float(critical_value)
-        self.n_init = check_positive_int(n_init, "n_init")
-        self.max_iter = check_positive_int(max_iter, "max_iter")
-        self.random_state = random_state
-        self.n_clusters_: Optional[int] = None
-        self.cluster_centers_: Optional[np.ndarray] = None
-        self.labels_: Optional[np.ndarray] = None
-
-    def fit(self, X) -> "GMeans":
-        """Grow the model by Gaussianity-rejected splits."""
-        X = check_array(X, min_samples=self.k_min)
-        rng = check_random_state(self.random_state)
-        model = KMeans(self.k_min, n_init=self.n_init, max_iter=self.max_iter,
-                       random_state=rng).fit(X)
-        centers, labels = _grow_by_splits(
-            X, model.cluster_centers_, model.labels_,
-            lambda points, center: self._try_split(points, rng),
-            k_max=self.k_max, max_iter=self.max_iter, atol=1e-7,
+        super().__init__(
+            k_min=k_min, k_max=k_max, n_init=n_init, max_iter=max_iter,
+            random_state=random_state,
         )
-        self.cluster_centers_ = centers
-        self.labels_ = labels
-        self.n_clusters_ = centers.shape[0]
-        return self
+        self.critical_value = float(critical_value)
 
-    def _try_split(self, points: np.ndarray, rng: np.random.Generator):
+    def _try_split(
+        self, points: np.ndarray, center: np.ndarray, rng: np.random.Generator
+    ):
         if points.shape[0] < 16:
             return None
         child = KMeans(2, n_init=self.n_init, max_iter=self.max_iter,

@@ -20,12 +20,17 @@ This module implements:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._validation import check_array, check_positive_int, check_random_state
-from ..exceptions import NotFittedError, ValidationError
+from .._validation import (
+    check_array,
+    check_cardinalities,
+    check_positive_int,
+    check_random_state,
+)
+from ..exceptions import NotFittedError
 from ._distances import assign_to_nearest
 from ._update import update_protocentroids
 from .kmeans import KMeans
@@ -75,50 +80,15 @@ def bic_score(
     return log_likelihood - 0.5 * n_parameters * np.log(n)
 
 
-def _grow_by_splits(
-    X: np.ndarray,
-    centers: np.ndarray,
-    labels: np.ndarray,
-    split: Callable[[np.ndarray, np.ndarray], Optional[List[np.ndarray]]],
-    *,
-    k_max: int,
-    max_iter: int,
-    atol: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The split-and-refine growth loop of X-Means and G-Means.
-
-    Each pass asks ``split(points, center)`` for every cluster in order,
-    keeping the two returned children while the model stays below
-    ``k_max`` (the cluster itself otherwise), then refines all centers
-    with warm-started Lloyd iterations (:func:`_refine`).  Growth stops
-    once a pass splits nothing or ``k_max`` is reached.  Returns the
-    final centers and the labels of the last assignment.
-    """
-    improved = True
-    while improved and centers.shape[0] < k_max:
-        improved = False
-        grown: List[np.ndarray] = []
-        for idx in range(centers.shape[0]):
-            children = split(X[labels == idx], centers[idx])
-            if children is not None and centers.shape[0] + len(grown) < k_max:
-                grown.extend(children)
-                improved = True
-            else:
-                grown.append(centers[idx])
-        centers, labels = _refine(X, np.vstack(grown), max_iter, atol)
-    return centers, labels
-
-
-def _refine(
-    X: np.ndarray, centers: np.ndarray, max_iter: int, atol: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Warm-started Lloyd refinement: assign, then the closed-form update
-    of :mod:`repro.core._update` (one set, sum aggregator, empty clusters
-    kept in place), until no center moves by more than ``atol``."""
+def _refine(X, centers, max_iter: int, atol: float):
+    """Warm-started Lloyd refinement through the one-set closed-form
+    update, empty clusters left in place, until no center moves by more
+    than ``atol``; returns the centers and their labels."""
     for _ in range(max_iter):
         labels, _ = assign_to_nearest(X, centers)
         (updated,) = update_protocentroids(
-            X, [centers], labels[:, None], "sum", reseed=_keep_empty
+            X, [centers], labels[:, None], "sum",
+            reseed=lambda theta, empty: None,
         )
         converged = np.allclose(updated, centers, atol=atol)
         centers = updated
@@ -127,11 +97,53 @@ def _refine(
     return centers, assign_to_nearest(X, centers)[0]
 
 
-def _keep_empty(theta: np.ndarray, empty: np.ndarray) -> None:
-    """Reseed rule of :func:`_refine`: an empty cluster keeps its center."""
+class _SplitGrowth:
+    """The growth driver of X-Means and G-Means: start from a
+    ``k_min``-means fit, then pass over the clusters, replacing each by
+    the two children ``_try_split(points, center, rng)`` returns while the
+    model stays below ``k_max``, and refine all centers after every pass
+    (:func:`_refine`, to the subclass's ``_atol``).  Growth stops once a
+    pass splits nothing or ``k_max`` is reached."""
+
+    _atol: float
+
+    def __init__(self, *, k_min, k_max, n_init, max_iter, random_state) -> None:
+        self.k_min = check_positive_int(k_min, "k_min")
+        self.k_max = check_positive_int(k_max, "k_max", minimum=self.k_min)
+        self.n_init = check_positive_int(n_init, "n_init")
+        self.max_iter = check_positive_int(max_iter, "max_iter")
+        self.random_state = random_state
+        self.n_clusters_: Optional[int] = None
+        self.cluster_centers_: Optional[np.ndarray] = None
+        self.labels_: Optional[np.ndarray] = None
+
+    def fit(self, X):
+        """Grow the model by accepted splits, refitting after each pass."""
+        X = check_array(X, min_samples=self.k_min)
+        rng = check_random_state(self.random_state)
+        model = KMeans(
+            self.k_min, n_init=self.n_init, max_iter=self.max_iter, random_state=rng
+        ).fit(X)
+        centers, labels = model.cluster_centers_, model.labels_
+        improved = True
+        while improved and centers.shape[0] < self.k_max:
+            improved = False
+            grown: List[np.ndarray] = []
+            for idx in range(centers.shape[0]):
+                split = self._try_split(X[labels == idx], centers[idx], rng)
+                if split is not None and centers.shape[0] + len(grown) < self.k_max:
+                    grown.extend(split)
+                    improved = True
+                else:
+                    grown.append(centers[idx])
+            centers, labels = _refine(X, np.vstack(grown), self.max_iter, self._atol)
+        self.cluster_centers_ = centers
+        self.labels_ = labels
+        self.n_clusters_ = centers.shape[0]
+        return self
 
 
-class XMeans:
+class XMeans(_SplitGrowth):
     """X-Means: k-Means with BIC-driven cluster splitting.
 
     Starting from ``k_min`` clusters, each cluster is tentatively split in
@@ -147,6 +159,8 @@ class XMeans:
     bic_ : float — global BIC of the final model.
     """
 
+    _atol = 1e-6
+
     def __init__(
         self,
         *,
@@ -156,32 +170,16 @@ class XMeans:
         max_iter: int = 100,
         random_state=None,
     ) -> None:
-        self.k_min = check_positive_int(k_min, "k_min")
-        self.k_max = check_positive_int(k_max, "k_max", minimum=self.k_min)
-        self.n_init = check_positive_int(n_init, "n_init")
-        self.max_iter = check_positive_int(max_iter, "max_iter")
-        self.random_state = random_state
-        self.n_clusters_: Optional[int] = None
-        self.cluster_centers_: Optional[np.ndarray] = None
-        self.labels_: Optional[np.ndarray] = None
+        super().__init__(
+            k_min=k_min, k_max=k_max, n_init=n_init, max_iter=max_iter,
+            random_state=random_state,
+        )
         self.bic_: float = -np.inf
 
     def fit(self, X) -> "XMeans":
         """Grow the model by BIC-accepted splits and refit globally."""
-        X = check_array(X, min_samples=self.k_min)
-        rng = check_random_state(self.random_state)
-        model = KMeans(
-            self.k_min, n_init=self.n_init, max_iter=self.max_iter, random_state=rng
-        ).fit(X)
-        centers, labels = _grow_by_splits(
-            X, model.cluster_centers_, model.labels_,
-            lambda points, center: self._try_split(points, center, rng),
-            k_max=self.k_max, max_iter=self.max_iter, atol=1e-6,
-        )
-        self.cluster_centers_ = centers
-        self.labels_ = labels
-        self.n_clusters_ = centers.shape[0]
-        self.bic_ = bic_score(X, labels, centers)
+        super().fit(X)
+        self.bic_ = bic_score(X, self.labels_, self.cluster_centers_)
         return self
 
     def _try_split(
@@ -228,11 +226,9 @@ class KhatriRaoXMeans:
         max_iter: int = 100,
         random_state=None,
     ) -> None:
-        self.initial_cardinalities = tuple(
-            check_positive_int(h, "cardinality", minimum=1) for h in initial_cardinalities
+        self.initial_cardinalities = check_cardinalities(
+            initial_cardinalities, name="initial_cardinalities"
         )
-        if not self.initial_cardinalities:
-            raise ValidationError("initial_cardinalities must be non-empty")
         self.max_vectors = check_positive_int(max_vectors, "max_vectors")
         self.allow_new_sets = bool(allow_new_sets)
         self.aggregator = aggregator

@@ -43,6 +43,7 @@ from .kmeans import KMeans
 
 __all__ = ["decompose_centroids", "NaiveKhatriRao"]
 
+
 def decompose_centroids(
     centroids: np.ndarray,
     cardinalities: Sequence[int],

@@ -6,7 +6,10 @@ Protocol (one round):
    protocentroid sets for ``KhatriRaoFkM`` — to every client
    (**the server→client communication the paper measures**);
 2. ``FkM``: every client runs ``local_steps`` Lloyd steps on its shard and
-   returns per-cluster sums and counts, which the server merges;
+   reports its one-set statistics of Proposition 6.1 (grouped sums and
+   masses) through the same ``set_statistics`` call KR-FkM clients make;
+   the server sums the reports, divides once (``store_quotient``) and
+   reseeds clusters left without mass from a participating shard;
 3. ``KhatriRaoFkM``: the round runs ``local_steps`` global sweeps over the
    sets.  For each set ``q`` in turn, every client re-assigns its shard
    against the sets updated so far and returns set ``q``'s sufficient
@@ -23,6 +26,13 @@ production-serving configuration).  Client-side statistics keep the
 dtype policy of the central kernels — per-point arithmetic in the working
 dtype, grouped accumulation and the server-side merge in float64
 (``docs/numerics.md``).
+
+Both estimators run on one private model and round driver
+(``_FederatedRounds``): shard and row validation (typed
+``ValidationError``), the initial model, participants and quorum, byte
+accounting, history, client reports and ``predict``.  ``FkM`` is its
+one-set sum model scored materialized, as :class:`repro.KMeans` is for
+:class:`repro.KhatriRaoKMeans`; each estimator keeps only its round body.
 """
 
 from __future__ import annotations
@@ -43,11 +53,7 @@ from .._validation import (
 )
 from ..core._distances import assign_to_nearest
 from ..core._factored import assign_khatri_rao
-from ..core._update import (
-    resolve_update,
-    set_statistics,
-    store_quotient,
-)
+from ..core._update import set_statistics, store_quotient
 from ..core.kr_kmeans import _split_seeds
 from ..exceptions import NotFittedError, QuorumError, ValidationError
 from ..linalg import (
@@ -89,46 +95,59 @@ class _History:
 
 
 class _FederatedRounds:
-    """The round driver FkM and KR-FkM share.
+    """The federated Khatri-Rao model and its round driver, shared by FkM
+    (the one-set sum model) and KR-FkM: constructor validation, shard
+    validation, initial model, participants and quorum, byte accounting,
+    history, client reports and ``predict``.  A subclass supplies its
+    round body (``_round``, with its reseed rule)."""
 
-    ``fit`` validates the shards, draws the initial model, then runs
-    ``n_rounds`` rounds: resolve the participants (and the quorum),
-    charge one model broadcast per participant, let the subclass move the
-    model from the participants' reports, and record the global inertia
-    and the cumulative bytes.  ``predict`` validates new rows and assigns
-    them.  A subclass supplies its model init (``_init_model``), its
-    assignment (``_assign``), its centroids (``_centroids``), its round
-    body (``_round``, with its reseed rule) and the name of its fitted
-    model attribute (``_model_attr``).
-    """
-
-    _model_attr: str
+    #: client and ``predict`` assignment (``assign_khatri_rao``); FkM
+    #: scores its one set of centers materialized
+    _assignment = "auto"
 
     def __init__(
-        self, *, n_rounds, local_steps, dtype, random_state, participation,
-        min_clients,
+        self, cardinalities, aggregator, *, n_rounds, local_steps, dtype,
+        random_state, participation, min_clients,
     ) -> None:
+        self.cardinalities = check_cardinalities(cardinalities)
+        self.aggregator = get_aggregator(aggregator)
         self.n_rounds = check_positive_int(n_rounds, "n_rounds")
         self.local_steps = check_positive_int(local_steps, "local_steps")
         self.dtype = check_dtype(dtype)
         self.random_state = random_state
-        self.participation = _check_participation(participation)
+        if participation is not None and not callable(participation):
+            raise ValidationError(
+                "participation must be None or a callable "
+                "policy(round_index, n_clients) -> client indices"
+            )
+        self.participation = participation
         self.min_clients = check_positive_int(min_clients, "min_clients")
-        setattr(self, self._model_attr, None)
+        self.protocentroids_: Optional[List[np.ndarray]] = None
         self.dtype_: Optional[np.dtype] = None
         self.history_ = _History()
         #: global inertia of the initial (pre-aggregation) model — what
         #: clients hold at budgets below the first full round's cost.
         self.initial_inertia_: float = np.inf
 
+    @property
+    def n_clusters(self) -> int:
+        return int_prod(self.cardinalities)
+
+    def broadcast_vectors(self) -> int:
+        """Vectors broadcast per round: ``∑ h_q`` (``k`` for FkM)."""
+        return int(sum(self.cardinalities))
+
     def fit(self, shards: Sequence[Tuple[np.ndarray, np.ndarray]]):
         """Run federated training over client ``(X, y)`` shards."""
-        self.dtype_ = self._working_dtype()
+        self.dtype_ = resolve_working_dtype(self.dtype, self.aggregator)
         datas = _validate_shards(shards, self.dtype_)
         rng = check_random_state(self.random_state)
-        self._n_features = datas[0].shape[1]
-        model = self._init_model(datas, rng)
-        self.initial_inertia_ = _global_inertia(datas, self._centroids(model))
+        m = datas[0].shape[1]
+        seeds = _sample_initial_vectors(datas, self.broadcast_vectors(), rng)
+        thetas = _split_seeds(seeds, self.cardinalities, self.aggregator)
+        self.initial_inertia_ = _global_inertia(
+            datas, khatri_rao_combine(thetas, self.aggregator)
+        )
         self.history_ = _History()
         cumulative_bytes = 0
         for round_index in range(self.n_rounds):
@@ -136,30 +155,42 @@ class _FederatedRounds:
                 self.participation, round_index, len(datas), self.min_clients
             )
             cumulative_bytes += communication_cost_bytes(
-                self.broadcast_vectors(), self._n_features, participants.size,
-                1, itemsize=self.dtype_.itemsize,
+                self.broadcast_vectors(), m, participants.size, 1,
+                itemsize=self.dtype_.itemsize,
             )
-            self._round(model, [datas[int(ci)] for ci in participants], rng)
-            self.history_.inertia.append(
-                _global_inertia(datas, self._centroids(model))
-            )
+            self._round(thetas, [datas[int(ci)] for ci in participants], rng)
+            self.history_.inertia.append(_global_inertia(
+                datas, khatri_rao_combine(thetas, self.aggregator)
+            ))
             self.history_.communication_bytes.append(cumulative_bytes)
-        setattr(self, self._model_attr, model)
+        self.protocentroids_ = thetas
         return self
 
     def predict(self, X) -> np.ndarray:
         """Assign rows of ``X`` to the aggregated global centroids."""
-        model = getattr(self, self._model_attr)
-        if model is None:
+        if self.protocentroids_ is None:
             raise NotFittedError(
                 f"{type(self).__name__} is not fitted yet; call fit first"
             )
         X = check_array(X, dtype=self.dtype_)
-        check_n_features(X, self._n_features)
-        return self._assign(X, model)
+        check_n_features(X, self.protocentroids_[0].shape[1])
+        return self._assign(X, self.protocentroids_)
 
-    def _working_dtype(self) -> np.dtype:
-        return self.dtype
+    def _assign(self, X: np.ndarray, thetas: List[np.ndarray]) -> np.ndarray:
+        return assign_khatri_rao(
+            X, thetas, self.aggregator, assignment=self._assignment
+        )[0]
+
+    def _report(self, X: np.ndarray, thetas: List[np.ndarray], q: int):
+        """A client's report for set ``q`` under its nearest centroids:
+        the ``(numerator, denominator or None, mass)`` of Proposition 6.1
+        (contingency-factored for the sum aggregator, gathered
+        otherwise)."""
+        set_labels = flat_to_set_labels(self._assign(X, thetas), self.cardinalities)
+        return next(set_statistics(
+            X, thetas, set_labels, self.aggregator,
+            factored=self.aggregator.supports_factored_update, sets=(q,),
+        ))[1:]
 
 
 class FederatedKMeans(_FederatedRounds):
@@ -203,7 +234,7 @@ class FederatedKMeans(_FederatedRounds):
         Global inertia of the initial (pre-aggregation) model.
     """
 
-    _model_attr = "cluster_centers_"
+    _assignment = "materialized"
 
     def __init__(
         self,
@@ -216,53 +247,38 @@ class FederatedKMeans(_FederatedRounds):
         participation=None,
         min_clients: int = 1,
     ) -> None:
-        self.n_clusters = check_positive_int(n_clusters, "n_clusters")
         super().__init__(
+            (check_positive_int(n_clusters, "n_clusters"),), "sum",
             n_rounds=n_rounds, local_steps=local_steps, dtype=dtype,
             random_state=random_state, participation=participation,
             min_clients=min_clients,
         )
 
-    def broadcast_vectors(self) -> int:
-        """Vectors broadcast per round (``k`` for FkM)."""
-        return self.n_clusters
+    @property
+    def cluster_centers_(self):
+        """The aggregated ``(n_clusters, m)`` centroids (``None`` before
+        fit)."""
+        return None if self.protocentroids_ is None else self.protocentroids_[0]
 
-    def _init_model(self, datas, rng) -> np.ndarray:
-        return _sample_initial_vectors(datas, self.n_clusters, rng)
-
-    def _centroids(self, centers: np.ndarray) -> np.ndarray:
-        return centers
-
-    def _assign(self, X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        return assign_to_nearest(X, centers)[0]
-
-    def _round(self, centers, round_datas, rng) -> None:
+    def _round(self, thetas, round_datas, rng) -> None:
         """Every participant runs ``local_steps`` Lloyd steps from the
-        broadcast centers and reports its statistics under the final local
-        assignment; the server divides the summed reports (renormalized
-        over the survivors: a dropped client reports nothing) and reseeds
-        each empty cluster from a participating shard."""
+        broadcast centers and reports under its final local assignment;
+        the server divides the summed reports (renormalized over the
+        survivors: a dropped client reports nothing) and reseeds each
+        empty cluster from a participating shard."""
         reports = []
         for X in round_datas:
-            local = centers.copy()
+            local = [thetas[0].copy()]
             for _ in range(self.local_steps):
-                store_quotient(local, *self._client_report(X, local))
-            reports.append(self._client_report(X, local))
+                store_quotient(local[0], *self._report(X, local, 0))
+            reports.append(self._report(X, local, 0))
         merged = _merge_reports(reports)
-        store_quotient(centers, *merged)
+        store_quotient(thetas[0], *merged)
         empty = np.flatnonzero(merged[2] == 0)
         if empty.size:
             # A dropped client's data is unreachable by the server.
             donor = round_datas[int(rng.integers(len(round_datas)))]
-            centers[empty] = donor[rng.choice(donor.shape[0], size=empty.size)]
-
-    def _client_report(self, X: np.ndarray, centers: np.ndarray):
-        """``(numerator, None, mass)`` of ``X`` under its nearest centers:
-        the one-set report KR-FkM clients make."""
-        labels = self._assign(X, centers)
-        return next(set_statistics(
-            X, [centers], labels[:, None], "sum", factored=True, sets=(0,)
-        ))[1:]
+            thetas[0][empty] = donor[rng.choice(donor.shape[0], size=empty.size)]
 
 
 class KhatriRaoFederatedKMeans(_FederatedRounds):
@@ -284,8 +300,6 @@ class KhatriRaoFederatedKMeans(_FederatedRounds):
     ``aggregator`` defaults to the product, as in the paper's case study.
     """
 
-    _model_attr = "protocentroids_"
-
     def __init__(
         self,
         cardinalities: Sequence[int],
@@ -298,52 +312,20 @@ class KhatriRaoFederatedKMeans(_FederatedRounds):
         participation=None,
         min_clients: int = 1,
     ) -> None:
-        self.cardinalities = check_cardinalities(cardinalities)
-        self.aggregator = get_aggregator(aggregator)
         super().__init__(
-            n_rounds=n_rounds, local_steps=local_steps, dtype=dtype,
-            random_state=random_state, participation=participation,
-            min_clients=min_clients,
+            cardinalities, aggregator, n_rounds=n_rounds,
+            local_steps=local_steps, dtype=dtype, random_state=random_state,
+            participation=participation, min_clients=min_clients,
         )
-
-    @property
-    def n_clusters(self) -> int:
-        return int_prod(self.cardinalities)
-
-    def broadcast_vectors(self) -> int:
-        """Vectors broadcast per round (``∑ h_q`` for Khatri-Rao-FkM)."""
-        return int(sum(self.cardinalities))
-
-    def _working_dtype(self) -> np.dtype:
-        return resolve_working_dtype(self.dtype, self.aggregator)
-
-    def _init_model(self, datas, rng) -> List[np.ndarray]:
-        seeds = _sample_initial_vectors(datas, sum(self.cardinalities), rng)
-        return _split_seeds(seeds, self.cardinalities, self.aggregator)
-
-    def _centroids(self, thetas: List[np.ndarray]) -> np.ndarray:
-        return khatri_rao_combine(thetas, self.aggregator)
-
-    def _assign(self, X: np.ndarray, thetas: List[np.ndarray]) -> np.ndarray:
-        return assign_khatri_rao(X, thetas, self.aggregator)[0]
 
     def _round(self, thetas, round_datas, rng) -> None:
         """``local_steps`` global KR-Lloyd steps from merged client
         statistics: set by set, every client re-assigns its shard against
         the partly updated sets and reports set ``q``'s statistics.  An
         empty protocentroid keeps its value."""
-        factored = resolve_update("auto", self.aggregator)
         for _ in range(self.local_steps):
             for q in range(len(thetas)):
-                reports = []
-                for X in round_datas:
-                    set_labels = flat_to_set_labels(
-                        self._assign(X, thetas), self.cardinalities
-                    )
-                    reports.append(next(set_statistics(
-                        X, thetas, set_labels, self.aggregator,
-                        factored=factored, sets=(q,),
-                    ))[1:])
+                reports = [self._report(X, thetas, q) for X in round_datas]
                 store_quotient(thetas[q], *_merge_reports(reports))
 
 
@@ -363,15 +345,6 @@ def _global_inertia(datas: Sequence[np.ndarray], centers: np.ndarray) -> float:
         _, distances = assign_to_nearest(X, centers)
         total += float(distances.sum(dtype=np.float64))
     return total
-
-
-def _check_participation(participation):
-    if participation is not None and not callable(participation):
-        raise ValidationError(
-            "participation must be None or a callable "
-            "policy(round_index, n_clients) -> client indices"
-        )
-    return participation
 
 
 def _round_participants(

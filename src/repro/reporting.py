@@ -14,7 +14,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_array, check_positive_int, int_prod
+from ._validation import (
+    check_array,
+    check_cardinalities,
+    check_positive_int,
+    int_prod,
+)
 from .core import KhatriRaoKMeans, KMeans, balanced_factor_pair
 from .metrics import (
     adjusted_rand_index,
@@ -76,7 +81,7 @@ def compare_methods(
         if h2 == 1:
             h1, h2 = balanced_factor_pair(k + 1)
         cardinalities = (h1, h2)
-    cards = tuple(int(h) for h in cardinalities)
+    cards = check_cardinalities(cardinalities)
 
     results: List[MethodResult] = []
     for aggregator, tag in (("sum", "+"), ("product", "x")):

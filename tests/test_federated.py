@@ -140,3 +140,30 @@ class TestKhatriRaoFederated:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             KhatriRaoFederatedKMeans((2, 2)).predict(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FederatedKMeans(3, n_rounds=2, random_state=0),
+    lambda: KhatriRaoFederatedKMeans((2, 2), n_rounds=2, random_state=0),
+], ids=["fkm", "kr_fkm"])
+class TestFederatedInputErrors:
+    """Malformed shards and rows raise ValidationError, as every other
+    estimator does, instead of fitting NaN or failing inside numpy."""
+
+    def test_nan_in_a_shard(self, make):
+        bad = np.ones((6, 3))
+        bad[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="client shard 1"):
+            make().fit([np.ones((6, 3)), bad])
+
+    def test_predict_wrong_width(self, make):
+        rng = np.random.default_rng(0)
+        model = make().fit([rng.uniform(1, 2, (20, 3)) for _ in range(2)])
+        with pytest.raises(ValidationError):
+            model.predict(np.ones((5, 4)))
+
+    def test_predict_one_dimensional_row(self, make):
+        rng = np.random.default_rng(0)
+        model = make().fit([rng.uniform(1, 2, (20, 3)) for _ in range(2)])
+        with pytest.raises(ValidationError):
+            model.predict(np.ones(3))

@@ -96,6 +96,30 @@ class TestCheckCardinalities:
         with pytest.raises(ValidationError):
             check_cardinalities(cardinalities)
 
+    @pytest.mark.parametrize("cardinalities", [(2.9, 3), (True, 3)])
+    @pytest.mark.parametrize(
+        "consumer", ["compare_summaries", "compare_methods", "KhatriRaoXMeans"]
+    )
+    def test_consumers_reject_non_integers(self, consumer, cardinalities):
+        # int() would run (2.9, 3) as (2, 3) and (True, 3) as (1, 3).
+        from repro.applications import compare_summaries
+        from repro.core import KhatriRaoXMeans
+        from repro.reporting import compare_methods
+
+        X = np.random.default_rng(0).normal(size=(40, 2))
+        y = np.zeros(40, dtype=np.int64)
+        calls = {
+            "compare_summaries": lambda: compare_summaries(X, cardinalities),
+            "compare_methods": lambda: compare_methods(
+                X, y, 6, cardinalities=cardinalities
+            ),
+            "KhatriRaoXMeans": lambda: KhatriRaoXMeans(
+                initial_cardinalities=cardinalities
+            ),
+        }
+        with pytest.raises(ValidationError):
+            calls[consumer]()
+
 
 class TestCheckRandomState:
     def test_none_gives_generator(self):
