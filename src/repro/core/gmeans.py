@@ -8,7 +8,7 @@ fulfilled".  G-Means splits a cluster whenever its points, projected onto
 the principal axis of a tentative 2-means split, fail an Anderson-Darling
 normality test.
 
-G-Means grows through X-Means' driver (``_SplitGrowth`` in
+G-Means shares X-Means' growth loop (``_SplitGrowth`` in
 :mod:`repro.core.model_selection`); only the split test and the
 refinement tolerance differ.  The refinement runs the one-set
 closed-form update of :mod:`repro.core._update` until the centers move

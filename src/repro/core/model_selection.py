@@ -98,7 +98,7 @@ def _refine(X, centers, max_iter: int, atol: float):
 
 
 class _SplitGrowth:
-    """The growth driver of X-Means and G-Means: start from a
+    """The growth loop X-Means and G-Means share: start from a
     ``k_min``-means fit, then pass over the clusters, replacing each by
     the two children ``_try_split(points, center, rng)`` returns while the
     model stays below ``k_max``, and refine all centers after every pass

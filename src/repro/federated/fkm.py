@@ -27,7 +27,7 @@ dtype policy of the central kernels — per-point arithmetic in the working
 dtype, grouped accumulation and the server-side merge in float64
 (``docs/numerics.md``).
 
-Both estimators run on one private model and round driver
+Both estimators share one private base class
 (``_FederatedRounds``): shard and row validation (typed
 ``ValidationError``), the initial model, participants and quorum, byte
 accounting, history, client reports and ``predict``.  ``FkM`` is its
@@ -95,7 +95,7 @@ class _History:
 
 
 class _FederatedRounds:
-    """The federated Khatri-Rao model and its round driver, shared by FkM
+    """The federated Khatri-Rao model and its round loop, shared by FkM
     (the one-set sum model) and KR-FkM: constructor validation, shard
     validation, initial model, participants and quorum, byte accounting,
     history, client reports and ``predict``.  A subclass supplies its
