@@ -29,15 +29,20 @@ _GRAD_ENABLED = True
 
 
 @contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable gradient taping within the context (inference mode)."""
+def _set_grad_enabled(enabled: bool) -> Iterator[None]:
+    """Turn gradient taping on or off within the context."""
     global _GRAD_ENABLED
     previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    _GRAD_ENABLED = enabled
     try:
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+def no_grad():
+    """Disable gradient taping within the context (inference mode)."""
+    return _set_grad_enabled(False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -30,7 +30,7 @@ from .._validation import (
     check_positive_int,
     check_random_state,
 )
-from ..exceptions import NotFittedError
+from ..exceptions import NotFittedError, relabel_convergence_warnings
 from ._distances import assign_to_nearest
 from ._update import update_protocentroids
 from .kmeans import KMeans
@@ -103,7 +103,9 @@ class _SplitGrowth:
     the two children ``_try_split(points, center, rng)`` returns while the
     model stays below ``k_max``, and refine all centers after every pass
     (:func:`_refine`, to the subclass's ``_atol``).  Growth stops once a
-    pass splits nothing or ``k_max`` is reached."""
+    pass splits nothing or ``k_max`` is reached.  The inner k-means
+    fits' convergence warnings name the estimator the user called
+    (``GMeans growth: KMeans did not converge in 1 iterations``)."""
 
     _atol: float
 
@@ -120,6 +122,15 @@ class _SplitGrowth:
     def fit(self, X):
         """Grow the model by accepted splits, refitting after each pass."""
         X = check_array(X, min_samples=self.k_min)
+        centers, labels = relabel_convergence_warnings(
+            f"{type(self).__name__} growth", self._grow, X
+        )
+        self.cluster_centers_ = centers
+        self.labels_ = labels
+        self.n_clusters_ = centers.shape[0]
+        return self
+
+    def _grow(self, X):
         rng = check_random_state(self.random_state)
         model = KMeans(
             self.k_min, n_init=self.n_init, max_iter=self.max_iter, random_state=rng
@@ -130,17 +141,18 @@ class _SplitGrowth:
             improved = False
             grown: List[np.ndarray] = []
             for idx in range(centers.shape[0]):
-                split = self._try_split(X[labels == idx], centers[idx], rng)
-                if split is not None and centers.shape[0] + len(grown) < self.k_max:
+                # The model holds ``grown`` plus the centers from ``idx``
+                # on; a split adds one, so at ``k_max`` none is tried.
+                split = None
+                if len(grown) + centers.shape[0] - idx < self.k_max:
+                    split = self._try_split(X[labels == idx], centers[idx], rng)
+                if split is not None:
                     grown.extend(split)
                     improved = True
                 else:
                     grown.append(centers[idx])
             centers, labels = _refine(X, np.vstack(grown), self.max_iter, self._atol)
-        self.cluster_centers_ = centers
-        self.labels_ = labels
-        self.n_clusters_ = centers.shape[0]
-        return self
+        return centers, labels
 
 
 class XMeans(_SplitGrowth):

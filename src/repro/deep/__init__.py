@@ -8,7 +8,9 @@
   — each base method under the one Khatri-Rao reparameterization
   (``deep.base.KhatriRaoVariant``): latent centroids constrained to a
   Khatri-Rao aggregation of protocentroids, autoencoder weights
-  Hadamard-compressed (Eq. 6), initialization via
+  Hadamard-compressed (Eq. 6, :class:`repro.nn.HadamardLinear`, the one
+  implementation of the product, its initialization and its fit to a dense
+  weight), protocentroids initialized by
   :class:`~repro.core.KhatriRaoKMeans` (Section 7);
 * :func:`fit_compressed_autoencoder` — the rank-doubling pretraining
   schedule of Section 9.1 (the rank rule itself is

@@ -19,7 +19,6 @@ reparameterization (Section 7) for every centroid-based method.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,10 +35,9 @@ from ..autodiff import Tensor, no_grad
 from ..core import KhatriRaoKMeans, KMeans
 from ..core._distances import assign_to_nearest
 from ..exceptions import (
-    ConvergenceWarning,
     NotFittedError,
     ValidationError,
-    warn_at_call_site,
+    relabel_convergence_warnings,
 )
 from ..linalg import get_aggregator
 from ..nn import Adam, Autoencoder, Trainer, build_autoencoder
@@ -169,20 +167,10 @@ class BaseDeepClustering:
 
         self.autoencoder_, self.pretrain_loss_ = self._build_and_pretrain(X, rng)
         Z = self.autoencoder_.transform(X)
-        # The latent k-means is a step of the fit the user called, so its
-        # convergence warnings name this estimator; others pass through.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ConvergenceWarning)
-            self.centroid_params_ = self._init_centroid_params(Z, rng)
-        for w in caught:
-            if issubclass(w.category, ConvergenceWarning):
-                warn_at_call_site(
-                    f"{type(self).__name__} latent initialization: "
-                    f"{w.message}", w.category,
-                )
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename,
-                                       w.lineno, source=w.source)
+        self.centroid_params_ = relabel_convergence_warnings(
+            f"{type(self).__name__} latent initialization",
+            self._init_centroid_params, Z, rng,
+        )
         self._joint_training(X, rng)
 
         Z = self.autoencoder_.transform(X)

@@ -121,6 +121,26 @@ def warn_at_call_site(message: str, category: type) -> None:
     warnings.warn(message, category, stacklevel=level)
 
 
+def relabel_convergence_warnings(prefix: str, fn, *args):
+    """Return ``fn(*args)``, re-issuing its ``ConvergenceWarning`` s as
+    ``f"{prefix}: {message}"`` at the user's line.
+
+    A nested fit (a deep estimator's latent k-means, X-/G-Means' inner
+    k-means) is a step of the fit the user called, so its convergence
+    warnings name that estimator.  Other warnings pass through unchanged.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        result = fn(*args)
+    for w in caught:
+        if issubclass(w.category, ConvergenceWarning):
+            warn_at_call_site(f"{prefix}: {w.message}", w.category)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
+    return result
+
+
 def _is_library_frame(frame) -> bool:
     name = frame.f_globals.get("__name__", "")
     return name == _PACKAGE or name.startswith(_PACKAGE + ".")

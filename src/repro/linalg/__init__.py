@@ -1,19 +1,20 @@
 """Linear-algebra substrate for Khatri-Rao clustering.
 
-This subpackage implements the two operator families the paper builds on:
+This subpackage implements the **Khatri-Rao operators** the paper builds
+on (Section 3): given ``p`` sets of vectors, produce every elementwise
+``sum`` or ``product`` combination with one vector from each set — the
+mechanism by which protocentroids generate centroids.  Aggregators
+additionally expose a *factored-assignment capability*
+(``supports_factored_assignment`` plus the ``cross_gram`` /
+``self_interaction`` / ``factored_shift`` / ``factored_drift`` hooks) that
+lets the clustering layer compute distances to all combinations — and bound
+every combination's movement between iterations — without materializing
+them.
 
-* **Khatri-Rao operators** (Section 3): given ``p`` sets of vectors, produce
-  every elementwise ``sum`` or ``product`` combination with one vector from
-  each set — the mechanism by which protocentroids generate centroids.
-  Aggregators additionally expose a *factored-assignment capability*
-  (``supports_factored_assignment`` plus the ``cross_gram`` /
-  ``self_interaction`` / ``factored_shift`` / ``factored_drift`` hooks)
-  that lets the clustering layer compute distances to all combinations —
-  and bound every combination's movement between iterations — without
-  materializing them.
-* **Hadamard decomposition** (Section 4.2, Eq. 6): reparameterize a weight
-  matrix as the Hadamard product of low-rank factors, the mechanism by which
-  autoencoder parameters are compressed in Khatri-Rao deep clustering.
+The Hadamard decomposition of Eq. 6 (Section 4.2), which compresses the
+autoencoder weights of Khatri-Rao deep clustering, lives in one place:
+:class:`repro.nn.HadamardLinear` (forward, initialization and fitting to a
+dense weight).
 """
 
 from .aggregators import (
@@ -22,12 +23,6 @@ from .aggregators import (
     SumAggregator,
     get_aggregator,
     resolve_working_dtype,
-)
-from .hadamard import (
-    HadamardDecomposition,
-    hadamard_parameter_count,
-    hadamard_reconstruct,
-    init_hadamard_factors,
 )
 from .khatri_rao import (
     flat_to_set_labels,
@@ -52,8 +47,4 @@ __all__ = [
     "tuple_to_flat",
     "flat_to_tuple",
     "flat_to_set_labels",
-    "HadamardDecomposition",
-    "hadamard_reconstruct",
-    "hadamard_parameter_count",
-    "init_hadamard_factors",
 ]

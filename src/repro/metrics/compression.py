@@ -7,8 +7,9 @@ summarize a dataset:
 * Khatri-Rao k-Means with sets of cardinalities ``(h_1, ..., h_p)`` stores
   ``(h_1 + ... + h_p)·m`` while representing ``h_1·...·h_p`` centroids;
 * deep clustering additionally stores autoencoder weights, compressed in the
-  Khatri-Rao variants via the Hadamard decomposition (see
-  :func:`repro.linalg.hadamard_parameter_count` and
+  Khatri-Rao variants via the Hadamard decomposition of Eq. 6 (see
+  :class:`repro.nn.HadamardLinear`, whose ``parameter_count`` is
+  ``Σ r_i (in + out) [+ out]``, and
   :meth:`repro.nn.Sequential.parameter_count`).
 """
 

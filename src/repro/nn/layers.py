@@ -7,6 +7,9 @@ clustering's autoencoder compression (paper Eq. 6): its weight matrix is
 
 with trainable low-rank factors.  Gradients flow through the product via the
 autodiff tape, so the layer drops into any :class:`Sequential` unchanged.
+It is the one implementation of Eq. 6 in the package: the product, the
+factor initialization and the fit to a dense weight
+(:meth:`HadamardLinear.initialize_from_dense`) all live here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 from .._validation import check_positive_int, check_random_state
 from ..autodiff import Tensor
 from ..autodiff.functional import affine, leaky_relu, relu, sigmoid, tanh
+from ..autodiff.tensor import _set_grad_enabled
 from ..exceptions import ValidationError
+from .optim import Adam
 
 __all__ = ["Module", "Linear", "HadamardLinear", "Activation", "Sequential"]
 
@@ -143,18 +148,13 @@ class HadamardLinear(Module):
         self.ranks = [check_positive_int(r, "rank") for r in ranks]
         if not self.ranks:
             raise ValidationError("ranks must be non-empty")
-        rng = check_random_state(random_state)
-        q = len(self.ranks)
-        target_std = _glorot_std(in_features, out_features)
-        self.factors: List[List[Tensor]] = []
-        for r in self.ranks:
-            # Each low-rank product contributes std target_std**(1/q); its
-            # entries need std (per/√r)^(1/2) per factor matrix.
-            per_product_std = target_std ** (1.0 / q)
-            entry_std = (per_product_std**2 / r) ** 0.25
-            A = Tensor(rng.normal(0.0, entry_std, size=(in_features, r)), requires_grad=True)
-            B = Tensor(rng.normal(0.0, entry_std, size=(r, out_features)), requires_grad=True)
-            self.factors.append([A, B])
+        drawn = self._draw_factors(
+            check_random_state(random_state), _glorot_std(in_features, out_features)
+        )
+        self.factors: List[List[Tensor]] = [
+            [Tensor(A, requires_grad=True), Tensor(B, requires_grad=True)]
+            for A, B in drawn
+        ]
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
 
     def effective_weight(self) -> Tensor:
@@ -183,30 +183,73 @@ class HadamardLinear(Module):
             count += self.out_features
         return count
 
+    def _draw_factors(self, rng, scale: float) -> List[tuple]:
+        """Random ``(A_i, B_i)`` whose product has entry std near ``scale``.
+
+        Each low-rank product contributes std ``scale**(1/q)``; its entries
+        need std ``(scale**(2/q) / r)**(1/4)`` per factor matrix.
+        """
+        per_product_std = scale ** (1.0 / len(self.ranks))
+        factors = []
+        for r in self.ranks:
+            entry_std = (per_product_std**2 / r) ** 0.25
+            A = rng.normal(0.0, entry_std, size=(self.in_features, r))
+            B = rng.normal(0.0, entry_std, size=(r, self.out_features))
+            factors.append((A, B))
+        return factors
+
     def initialize_from_dense(
         self, weight: np.ndarray, *, max_iter: int = 300, random_state=None
     ) -> float:
         """Warm start the factors to approximate a pretrained dense weight.
 
-        Fits a :class:`~repro.linalg.HadamardDecomposition` to ``weight`` and
-        copies the factors.  Returns the final squared approximation error.
+        Redraws the factors at scale ``std(weight)``, then minimizes
+        ``‖effective_weight() − weight‖²`` with :class:`~repro.nn.Adam`
+        (learning rate 0.02) for at most ``max_iter`` steps, stopping after
+        100 steps without improvement.  The best factors are written into
+        the layer's factor tensors in place; returns their squared error.
         """
-        from ..linalg import HadamardDecomposition
-
         weight = np.asarray(weight, dtype=float)
         if weight.shape != (self.in_features, self.out_features):
             raise ValidationError(
                 f"weight must have shape {(self.in_features, self.out_features)}, "
                 f"got {weight.shape}"
             )
-        decomposition = HadamardDecomposition(
-            self.ranks, max_iter=max_iter, random_state=random_state
-        ).fit(weight)
-        for (A, B), (A_fit, B_fit) in zip(self.factors, decomposition.factors_):
-            A.data[...] = A_fit
-            B.data[...] = B_fit
-        residual = decomposition.reconstruct() - weight
-        return float(np.sum(residual**2))
+        if not np.all(np.isfinite(weight)):
+            raise ValidationError("weight must be finite")
+        max_iter = check_positive_int(max_iter, "max_iter")
+        drawn = self._draw_factors(
+            check_random_state(random_state), float(np.std(weight)) or 1.0
+        )
+        tensors = [t for pair in self.factors for t in pair]
+        for t, data in zip(tensors, (data for pair in drawn for data in pair)):
+            t.data[...] = data
+        optimizer = Adam(tensors, 0.02)
+        target = Tensor(weight)
+        best_loss, best, stall = np.inf, [t.data.copy() for t in tensors], 0
+        # The fit tapes its own steps, also under ``no_grad`` or for a
+        # layer built there (whose factors then do not require grad).
+        with _set_grad_enabled(True):
+            for t in tensors:
+                t.requires_grad = True
+            for _ in range(max_iter):
+                optimizer.zero_grad()
+                loss = ((self.effective_weight() - target) ** 2).sum()
+                # ADAM is non-monotone: keep the best factors and stop only
+                # after 100 steps without a meaningful improvement.
+                value = float(loss.data)
+                if value < best_loss * (1.0 - 1e-8):
+                    best_loss, stall = value, 0
+                    best = [t.data.copy() for t in tensors]
+                else:
+                    stall += 1
+                    if stall >= 100:
+                        break
+                loss.backward()
+                optimizer.step()
+        for t, data in zip(tensors, best):
+            t.data[...] = data
+        return best_loss
 
 
 class Activation(Module):

@@ -25,7 +25,6 @@ import repro.datasets.registry
 import repro.deep.dec
 import repro.deep.dkm
 import repro.deep.idec
-import repro.linalg.hadamard
 import repro.linalg.khatri_rao
 import repro.metrics.clustering
 import repro.metrics.compression
@@ -38,7 +37,6 @@ import repro.viz.images
 
 MODULES = [
     repro.linalg.khatri_rao,
-    repro.linalg.hadamard,
     repro.metrics.clustering,
     repro.metrics.compression,
     repro.core.design,

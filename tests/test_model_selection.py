@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import KhatriRaoXMeans, KMeans, XMeans, bic_score
+from repro.core import GMeans, KhatriRaoXMeans, KMeans, XMeans, bic_score
 from repro.datasets import make_blobs
 from repro.exceptions import NotFittedError
 
@@ -62,6 +62,17 @@ class TestXMeans:
         assert model.cluster_centers_.shape == (model.n_clusters_, 2)
         assert model.labels_.shape == (X.shape[0],)
         assert np.isfinite(model.bic_)
+
+
+@pytest.mark.parametrize("estimator", [XMeans, GMeans])
+def test_growth_reaches_k_max(estimator):
+    # Both k_min clusters split in the first pass: 2 -> 4, not 2 -> 3 (a
+    # cap that counts the processed clusters twice stops at 3).
+    X, _ = make_blobs(600, n_features=4, n_clusters=6, cluster_std=0.3,
+                      random_state=4)
+    model = estimator(k_min=2, k_max=4, n_init=2, max_iter=30,
+                      random_state=9).fit(X)
+    assert model.n_clusters_ == 4
 
 
 class TestKhatriRaoXMeans:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.autodiff import Tensor
+from repro.autodiff import Tensor, no_grad
 from repro.exceptions import ValidationError
 from repro.nn import (
     Activation,
@@ -63,18 +65,43 @@ class TestHadamardLinear:
         expected = 2 * (10 + 8) + 3 * (10 + 8) + 8  # factors + bias
         assert layer.parameter_count() == expected
 
+    @given(st.integers(1, 50), st.integers(1, 50),
+           st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_parameter_count_linear_in_ranks(self, d, m, ranks):
+        layer = HadamardLinear(d, m, ranks, bias=False, random_state=0)
+        assert layer.parameter_count() == sum(r * (d + m) for r in ranks)
+
+    def test_factor_shapes(self):
+        layer = HadamardLinear(8, 6, [2, 3], random_state=0)
+        shapes = [(A.shape, B.shape) for A, B in layer.factors]
+        assert shapes == [((8, 2), (2, 6)), ((8, 3), (3, 6))]
+
+    def test_init_scale(self):
+        # The product's entries start at the Glorot std of a dense layer.
+        layer = HadamardLinear(200, 200, [8, 8], random_state=0)
+        glorot = np.sqrt(2.0 / (200 + 200))
+        assert 0.2 * glorot < np.std(layer.effective_weight().numpy()) < 5 * glorot
+
     def test_compresses_large_layers(self):
         dense = Linear(200, 100, random_state=0)
         compressed = HadamardLinear(200, 100, [10, 10], random_state=0)
         assert compressed.parameter_count() < dense.parameter_count()
         assert compressed.dense_parameter_count() == dense.parameter_count()
 
-    def test_effective_weight_is_hadamard_product(self):
-        layer = HadamardLinear(4, 3, [2, 2], random_state=0)
+    @pytest.mark.parametrize("ranks", [[2], [2, 2]])
+    def test_effective_weight_is_hadamard_product(self, ranks):
+        layer = HadamardLinear(4, 3, ranks, random_state=0)
         manual = np.ones((4, 3))
         for A, B in layer.factors:
             manual = manual * (A.numpy() @ B.numpy())
         np.testing.assert_allclose(layer.effective_weight().numpy(), manual)
+
+    def test_hadamard_product_exceeds_factor_rank(self):
+        # rank((A1 B1) ⊙ (A2 B2)) can exceed both factor ranks: the
+        # representational argument behind Eq. 6.
+        layer = HadamardLinear(6, 6, [2, 2], random_state=2)
+        assert np.linalg.matrix_rank(layer.effective_weight().numpy()) > 2
 
     def test_gradients_reach_all_factors(self):
         layer = HadamardLinear(3, 2, [2, 2], random_state=0)
@@ -87,10 +114,51 @@ class TestHadamardLinear:
         rng = np.random.default_rng(0)
         target = rng.normal(size=(8, 6)) * 0.1
         layer = HadamardLinear(8, 6, [3, 3], random_state=0)
+        tensors = layer.parameters()
         error = layer.initialize_from_dense(target, max_iter=800, random_state=0)
         assert error < np.sum(target**2)
+        # Written in place: an optimizer holding the factors keeps them.
+        assert all(a is b for a, b in zip(layer.parameters(), tensors))
         approx = layer.effective_weight().numpy()
         assert np.sum((approx - target) ** 2) == pytest.approx(error)
+
+    def test_initialize_from_dense_under_no_grad(self):
+        target = np.random.default_rng(0).normal(size=(8, 6)) * 0.1
+        free = HadamardLinear(8, 6, [2, 2], random_state=0)
+        error = free.initialize_from_dense(target, max_iter=50, random_state=0)
+        with no_grad():
+            held = HadamardLinear(8, 6, [2, 2], random_state=0)
+            assert held.initialize_from_dense(
+                target, max_iter=50, random_state=0) == error
+        for a, b in zip(free.parameters(), held.parameters()):
+            np.testing.assert_array_equal(a.numpy(), b.numpy())
+
+    def test_initialize_from_dense_recovers_exact_structure(self):
+        rng = np.random.default_rng(3)
+        pairs = [(rng.normal(size=(10, 2)), rng.normal(size=(2, 8))) for _ in range(2)]
+        true = (pairs[0][0] @ pairs[0][1]) * (pairs[1][0] @ pairs[1][1])
+        layer = HadamardLinear(10, 8, [2, 2], random_state=0)
+        error = layer.initialize_from_dense(true, max_iter=2000, random_state=0)
+        assert error < 0.05 * np.sum(true**2)
+
+    def test_initialize_from_dense_single_factor_near_svd_tail(self):
+        # One factor is plain low-rank fitting: close to the SVD tail.
+        rng = np.random.default_rng(5)
+        W = rng.normal(size=(15, 10))
+        layer = HadamardLinear(15, 10, [4], random_state=0)
+        error = layer.initialize_from_dense(W, max_iter=3000, random_state=0)
+        _, s, _ = np.linalg.svd(W)
+        assert error < 1.6 * float(np.sum(s[4:] ** 2)) + 1e-6
+
+    @pytest.mark.parametrize("weight", [np.ones(5), np.ones((6, 8)),
+                                        np.full((8, 6), np.nan)])
+    def test_initialize_from_dense_rejects_bad_weights(self, weight):
+        layer = HadamardLinear(8, 6, [2, 2], random_state=0)
+        before = [t.numpy().copy() for t in layer.parameters()]
+        with pytest.raises(ValidationError):
+            layer.initialize_from_dense(weight)
+        for t, data in zip(layer.parameters(), before):
+            np.testing.assert_array_equal(t.numpy(), data)
 
     def test_empty_ranks(self):
         with pytest.raises(ValidationError):

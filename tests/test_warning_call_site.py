@@ -11,9 +11,10 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 
 from repro import KhatriRaoKMeans
-from repro.core.gmeans import GMeans
+from repro.core import GMeans, XMeans
 from repro.datasets import make_blobs
 from repro.deep import KhatriRaoDKM
 from repro.exceptions import ConvergenceWarning, DtypeFallbackWarning
@@ -62,9 +63,12 @@ def test_dtype_fallback_warns_at_the_fit_call():
     assert model.dtype_ == np.dtype(np.float64)
 
 
-def test_kmeans_under_a_library_caller_warns_at_the_fit_call():
+@pytest.mark.parametrize("estimator", [GMeans, XMeans])
+def test_kmeans_under_a_library_caller_warns_at_the_fit_call(estimator):
     X = np.random.default_rng(0).normal(size=(400, 3))
-    model = GMeans(k_min=2, k_max=4, n_init=2, max_iter=1, random_state=0)
+    model = estimator(k_min=2, k_max=4, n_init=2, max_iter=1, random_state=0)
     for w in _caught(ConvergenceWarning, lambda: model.fit(X)):
         assert w.filename == __file__
-        assert str(w.message) == "KMeans did not converge in 1 iterations"
+        message = str(w.message)
+        assert message.startswith(estimator.__name__)
+        assert message.endswith(": KMeans did not converge in 1 iterations")
