@@ -160,9 +160,43 @@ class TestHadamardLinear:
         for t, data in zip(layer.parameters(), before):
             np.testing.assert_array_equal(t.numpy(), data)
 
+    def test_initialize_from_dense_improves_on_its_start(self):
+        # One step returns the loss of the redrawn start; more steps keep
+        # the best factors seen, so they never end worse.
+        W = np.random.default_rng(4).normal(size=(12, 9))
+        start = HadamardLinear(12, 9, [3], random_state=0).initialize_from_dense(
+            W, max_iter=1, random_state=0)
+        fitted = HadamardLinear(12, 9, [3], random_state=0).initialize_from_dense(
+            W, max_iter=100, random_state=0)
+        assert fitted < start
+
+    def test_initialize_from_dense_leaves_bias(self):
+        layer = HadamardLinear(8, 6, [2, 2], random_state=0)
+        layer.bias.data[...] = np.arange(6.0)
+        layer.initialize_from_dense(np.ones((8, 6)), max_iter=20, random_state=0)
+        np.testing.assert_array_equal(layer.bias.numpy(), np.arange(6.0))
+
+    @pytest.mark.parametrize("max_iter", [0, 2.5])
+    def test_initialize_from_dense_rejects_bad_max_iter(self, max_iter):
+        layer = HadamardLinear(8, 6, [2, 2], random_state=0)
+        with pytest.raises(ValidationError):
+            layer.initialize_from_dense(np.ones((8, 6)), max_iter=max_iter)
+
+    def test_effective_weight_rank_at_most_product_of_ranks(self):
+        # rank(X ⊙ Y) <= rank(X) rank(Y): ranks [3, 4] reach at most 12,
+        # and random factors reach it.
+        layer = HadamardLinear(20, 20, [3, 4], random_state=0)
+        assert np.linalg.matrix_rank(layer.effective_weight().numpy()) == 12
+
     def test_empty_ranks(self):
         with pytest.raises(ValidationError):
             HadamardLinear(3, 3, [])
+
+    @pytest.mark.parametrize("in_features, out_features, ranks",
+                             [(3, 3, [0]), (3, 3, [2, -1]), (0, 3, [2]), (3, 0, [2])])
+    def test_rejects_nonpositive_sizes(self, in_features, out_features, ranks):
+        with pytest.raises(ValidationError):
+            HadamardLinear(in_features, out_features, ranks)
 
     def test_q3_factors(self):
         layer = HadamardLinear(5, 5, [2, 2, 2], random_state=0)
